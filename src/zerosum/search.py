@@ -6,11 +6,23 @@ length l has a nonempty zero-sum subsequence with length in L; equivalently
 taking subsequences, so the L-free sequences form a prefix tree of canonical
 (index-sorted) multisets which a DFS can exhaust.
 
-Pruning is incremental: the searcher carries, per group element s, the
-bitmask of lengths realized by subsequences summing to s.  Appending g can
-only create zero-sum subsequences that use the new copy, i.e. extensions of
-subsequences summing to -g, so the L-freeness check for a candidate costs a
-single AND against the mask at -g.
+Pruning is a subset-sum dynamic program over (group element, subsequence
+length) pairs, packed into one Python int.  A subset of G is an |G|-bit int
+indexed in group-table order, and the state holds T such rows: row l is the
+negated set {-s} of the sums s of the length-l subsequences, with exactly l
+terms when L is a singleton or an explicit set and at most l terms when L is
+an interval [1, k] below the horizon.  L = N, and an interval reaching the
+horizon, need only one self-closed row holding every subsequence sum.
+Appending g can only create zero-sum subsequences through the new copy, so g
+is banned iff -g is the sum of a subsequence of length l-1 for some l in L:
+the banned candidates are the OR of rows l-1, and the DFS walks the other
+bits in ascending order.  Appending g translates the rows by -g, one masked
+rotation per nonzero coordinate of g, and ORs the result one row up (into
+the same row when it is self-closed).
+
+One iterative DFS serves every caller: it maximizes the length, and can
+also collect every sequence of a fixed length (for partitioning the tree
+into subtasks, and for ``enumerate_extremal``).
 
 Optional symmetry reduction (homocyclic groups of prime exponent only): in
 canonical order, the j-th appended element that leaves the subgroup generated
@@ -22,14 +34,14 @@ not values; it is off by default.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
 from .groups import GroupSpec, d_star, factorize, group_table
-from .sequences import LengthSet, Sequence, apply_automorphism, feasibility, sigma
-from .groups import enumerate_automorphisms
+from .sequences import LengthSet, Sequence, feasibility, orbit_canonical, sigma
 
 _DEFAULT_NODE_BUDGET = 10**8
 
@@ -97,160 +109,206 @@ class SearchResult:
         return str(self.value)
 
 
-class _Budget(Exception):
-    pass
+def _layout(L: LengthSet, horizon: int) -> tuple[int, bool, bool, tuple[int, ...]]:
+    """(rows, self-closed, at most l terms in row l, banned rows) of the
+    packed state for L.
+
+    Candidates are tested at lengths below the horizon, so only members of L
+    up to the horizon matter; the top row is always banned when any is.
+    """
+    if L.kind == "all" or (L.kind == "interval" and L.k >= horizon):
+        return 1, True, True, (0,)
+    if L.kind == "interval":
+        return L.k, False, True, (L.k - 1,)
+    mask = L.mask(horizon)
+    banned = tuple(l - 1 for l in range(1, horizon + 1) if mask >> l & 1)
+    return (banned[-1] + 1 if banned else 0), False, False, banned
 
 
-class _Searcher:
-    """DFS over canonical L-free multisets, maximizing depth."""
+def _translation(factors: tuple[int, ...], rows: int, coords) -> tuple[tuple[int, ...], ...]:
+    """Masked rotations translating each of ``rows`` packed rows of |G| bits
+    by the element ``coords``: one (lo, hi, up, down) per nonzero coordinate,
+    applied as ``((x & lo) << up) | ((x & hi) >> down)``."""
+    m = math.prod(factors)
+    full = (1 << rows * m) - 1
+    out = []
+    stride = m
+    for n, c in zip(factors, coords):
+        stride //= n
+        if c:
+            period = n * stride
+            rep = full // ((1 << period) - 1)  # bit 0 of every period
+            # Coordinate values >= n - c wrap around to the low end.
+            hi = ((1 << period) - (1 << (n - c) * stride)) * rep
+            out.append((full ^ hi, hi, c * stride, (n - c) * stride))
+    return tuple(out)
 
-    def __init__(self, G, L, horizon, node_budget, deadline, symmetry):
+
+def _translate(x: int, moves) -> int:
+    for lo, hi, up, down in moves:
+        x = ((x & lo) << up) | ((x & hi) >> down)
+    return x
+
+
+class _Search:
+    """One DFS over the canonical L-free multisets extending a prefix.
+
+    ``run(cap)`` visits them in lexicographic order down to length ``cap``,
+    keeping the longest one met first (the lexicographically least of that
+    length); with ``collect`` it also records every one of length ``cap``.
+    A node of length >= horizon is not expanded and marks the search as cut
+    at the horizon.  Every visited node counts against the node budget, the
+    root included; reaching it, or passing the deadline, stops the search
+    with ``stopped`` set.
+    """
+
+    def __init__(self, G, L, horizon, node_budget, deadline, symmetry, prefix):
         table = group_table(G)
         self.table = table
-        self.m = len(table.elements)
+        self.m = m = len(table.elements)
+        self.factors = G.factors
         self.horizon = horizon
-        self.ban_half = L.mask(horizon) >> 1
         self.node_budget = node_budget
         self.deadline = deadline
+        rows, closed, at_most, banned = _layout(L, horizon)
+        self.rows = rows
+        self.full = (1 << rows * m) - 1
+        self.step = 0 if closed else m
+        self.top = (rows - 1) * m if rows else 0
+        self.lower_bans = tuple(r * m for r in banned if r < rows - 1)
+        self._moves: list = [None] * m
         self.nodes = 0
         self.pruned = 0
         self.best = -1
         self.best_stack: tuple[int, ...] | None = None
         self.hit_horizon = False
-        self.stack: list[int] = []
-        self.sub_rows = [table.sub_row(gi) for gi in range(self.m)]
-        self.neg = table.neg
-        self.symmetry = symmetry
-        if symmetry:
-            n = G.exponent
-            self.flags = [n**j for j in range(G.rank)]
-            self.sym_n = n
-
-    def initial_masks(self) -> list[int]:
-        masks = [0] * self.m
-        masks[0] = 1  # empty subsequence
-        return masks
-
-    def replay(self, masks, indices):
-        """Append the given element indices (checking L-freeness as we go)."""
-        for gi in indices:
-            if masks[self.neg[gi]] & self.ban_half:
-                raise InvalidInputError("stem has a zero-sum subsequence with length in L")
-            row = self.sub_rows[gi]
-            masks = [masks[s] | (masks[row[s]] << 1) for s in range(self.m)]
-            self.stack.append(gi)
-        return masks
-
-    def span_of(self, indices):
-        """Subgroup generated by the given element indices, as an index set,
-        with the number of independent generators met in canonical order."""
-        span = {0}
-        dim = 0
-        for gi in indices:
-            if gi not in span:
-                span = self.grow_span(span, gi)
-                dim += 1
-        return span, dim
-
-    def grow_span(self, span, gi):
-        row = self.table.add_row(gi)
-        new = set(span)
-        cur = list(span)
-        for _ in range(self.sym_n - 1):
-            cur = [row[s] for s in cur]
-            new.update(cur)
-        return new
-
-    def run(self, masks, start, span, dim):
-        self._dfs(masks, start, len(self.stack), span, dim)
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes >= self.node_budget:
-            raise _Budget
-        if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _Budget
-
-    def _dfs(self, masks, start, depth, span, dim):
-        self._tick()
-        if depth > self.best:
-            self.best = depth
-            self.best_stack = tuple(self.stack)
-        if depth >= self.horizon:
-            self.hit_horizon = True
-            return
-        ban = self.ban_half
-        neg = self.neg
-        sub_rows = self.sub_rows
-        m = self.m
-        sym = self.symmetry
-        flag = self.flags[dim] if sym and dim < len(self.flags) else None
-        last = depth + 1 >= self.horizon
-        for gi in range(start, m):
-            if masks[neg[gi]] & ban:
-                self.pruned += 1
-                continue
-            child_span = span
-            child_dim = dim
-            if sym and gi not in span:
-                if gi != flag:
-                    continue
-                child_span = self.grow_span(span, gi)
-                child_dim = dim + 1
-            self.stack.append(gi)
-            if last:
-                # Cut at the horizon: record without building the child table.
-                self._tick()
-                if depth + 1 > self.best:
-                    self.best = depth + 1
-                    self.best_stack = tuple(self.stack)
-                self.hit_horizon = True
-            else:
-                row = sub_rows[gi]
-                child = [masks[s] | (masks[row[s]] << 1) for s in range(m)]
-                self._dfs(child, gi, depth + 1, child_span, child_dim)
-            self.stack.pop()
-
-
-class _Collector(_Searcher):
-    """DFS that collects all L-free canonical multisets of a fixed length."""
-
-    def __init__(self, G, L, horizon, node_budget, deadline, symmetry, target):
-        super().__init__(G, L, horizon, node_budget, deadline, symmetry)
-        self.target = target
+        self.stopped = False
         self.found: list[tuple[int, ...]] = []
 
-    def _dfs(self, masks, start, depth, span, dim):
-        self._tick()
-        if depth >= self.target:
-            self.found.append(tuple(self.stack))
-            return
-        neg = self.neg
-        ban = self.ban_half
-        m = self.m
-        sym = self.symmetry
-        flag = self.flags[dim] if sym and dim < len(self.flags) else None
-        last = depth + 1 == self.target
-        for gi in range(start, m):
-            if masks[neg[gi]] & ban:
-                self.pruned += 1
-                continue
-            child_span = span
-            child_dim = dim
-            if sym and gi not in span:
-                if gi != flag:
-                    continue
-                child_span = self.grow_span(span, gi)
-                child_dim = dim + 1
-            self.stack.append(gi)
-            if last:
-                self._tick()
-                self.found.append(tuple(self.stack))
+        # The empty subsequence sums to 0 with length 0.
+        state = self.full // ((1 << m) - 1) if at_most else 1 & self.full
+        for gi in prefix:
+            if self._banned(state) >> gi & 1:
+                raise InvalidInputError("stem has a zero-sum subsequence with length in L")
+            state |= (_translate(state, self._move(gi)) << self.step) & self.full
+        self.prefix = tuple(prefix)
+        self.state = state
+
+        self.span = (1 << m) - 1  # without symmetry every element counts as inside
+        self.dim = 0
+        self.flag_bits = None
+        if symmetry:
+            self.sym_n = G.exponent
+            self.flag_bits = [1 << G.exponent**j for j in range(G.rank)] + [0]
+            self.span = 1  # the zero element
+            for gi in prefix:
+                if not self.span >> gi & 1:
+                    self.span = self._grow(self.span, gi)
+                    self.dim += 1
+
+    def _move(self, gi):
+        """The translation by -g, built on first use."""
+        move = self._moves[gi]
+        if move is None:
+            coords = self.table.elements[self.table.neg[gi]]
+            move = self._moves[gi] = _translation(self.factors, self.rows, coords)
+        return move
+
+    def _banned(self, x):
+        banned = x >> self.top
+        for off in self.lower_bans:
+            banned |= (x >> off) & ((1 << self.m) - 1)
+        return banned
+
+    def _grow(self, span, gi):
+        """The subgroup generated by ``span`` and g, as an |G|-bit int."""
+        move = self._move(gi)
+        new = cur = span
+        for _ in range(self.sym_n - 1):
+            cur = _translate(cur, move)
+            new |= cur
+        return new
+
+    def run(self, cap: int, collect: bool = False) -> None:
+        # The state update and banned set below inline _move, _translate
+        # and _banned: they run once per node.
+        row = (1 << self.m) - 1
+        full, step, top, lower = self.full, self.step, self.top, self.lower_bans
+        moves = self._moves
+        horizon = self.horizon
+        flag_bits = self.flag_bits
+        found = self.found if collect else None
+        budget, deadline = self.node_budget, self.deadline
+        nodes, pruned, best, best_stack = self.nodes, self.pruned, self.best, self.best_stack
+        hit = self.hit_horizon
+        stopped = False
+        # Node count at which to look at the budget and the clock next.
+        check = budget if deadline is None else min(budget, nodes - nodes % 4096 + 4096)
+
+        base = len(self.prefix)
+        seq = list(self.prefix) + [0] * max(cap - base, 0)
+        frames: list[list] = []  # per expanded node: [state, unvisited children, span, dim]
+        y, span, dim = self.state, self.span, self.dim
+        start = self.prefix[-1] if base else 0
+        depth = base
+        while True:
+            # Visit the node seq[:depth] with state y.
+            nodes += 1
+            if nodes >= check:
+                if nodes >= budget or time.monotonic() > deadline:
+                    stopped = True
+                    break
+                check = min(budget, nodes + 4096)
+            if depth > best:
+                best = depth
+                best_stack = tuple(seq[:depth])
+            if depth >= cap:
+                if depth >= horizon:
+                    hit = True
+                if found is not None:
+                    found.append(tuple(seq[:depth]))
             else:
-                row = self.sub_rows[gi]
-                child = [masks[s] | (masks[row[s]] << 1) for s in range(m)]
-                self._dfs(child, gi, depth + 1, child_span, child_dim)
-            self.stack.pop()
+                banned = y >> top
+                for off in lower:
+                    banned |= (y >> off) & row
+                banned >>= start
+                pruned += banned.bit_count()
+                avail = ((row >> start) ^ banned) << start
+                if flag_bits is not None:
+                    avail &= span | flag_bits[dim]
+                if avail:
+                    frames.append([y, avail, span, dim])
+
+            # Move to the next unvisited child of the deepest open node.
+            while frames:
+                frame = frames[-1]
+                avail = frame[1]
+                if avail:
+                    break
+                frames.pop()
+            else:
+                break
+            low = avail & -avail
+            frame[1] = avail ^ low
+            start = low.bit_length() - 1
+            depth = base + len(frames)
+            seq[depth - 1] = start
+            x = frame[0]
+            move = moves[start]
+            if move is None:
+                move = self._move(start)
+            y = x
+            for lo, hi, up, down in move:
+                y = ((y & lo) << up) | ((y & hi) >> down)
+            y = x | ((y << step) & full)
+            span, dim = frame[2], frame[3]
+            if flag_bits is not None and not span >> start & 1:
+                span = self._grow(span, start)
+                dim += 1
+
+        self.nodes, self.pruned, self.best, self.best_stack = nodes, pruned, best, best_stack
+        self.hit_horizon = hit
+        self.stopped = stopped
 
 
 def _effective_horizon(G: GroupSpec, cfg: SearchConfig) -> int:
@@ -276,100 +334,62 @@ def _stem_indices(G: GroupSpec, stem: Sequence | None) -> tuple[int, ...]:
     return tuple(index[g.coords] for g in stem.expand())
 
 
-def _run_serial(G, L, cfg, horizon, symmetry):
-    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-    searcher = _Searcher(G, L, horizon, cfg.node_budget, deadline, symmetry)
-    masks = searcher.initial_masks()
-    prefix = _stem_indices(G, cfg.stem)
-    masks = searcher.replay(masks, prefix)
-    if symmetry:
-        span, dim = searcher.span_of(prefix)
-    else:
-        span, dim = None, 0
-    budget_ok = True
-    try:
-        searcher.run(masks, prefix[-1] if prefix else 0, span, dim)
-    except _Budget:
-        budget_ok = False
-    return searcher, budget_ok
+def _deadline(cfg: SearchConfig) -> float | None:
+    return time.monotonic() + cfg.time_budget if cfg.time_budget else None
 
 
-def _subtree_task(args):
-    (factors, l_kind, l_k, l_members, prefix, horizon, node_budget, symmetry,
-     deadline) = args
-    G = GroupSpec(factors)
-    L = LengthSet(l_kind, k=l_k, members=l_members)
-    searcher = _Searcher(G, L, horizon, node_budget, deadline, symmetry)
-    masks = searcher.initial_masks()
-    masks = searcher.replay(masks, prefix)
-    if symmetry:
-        span, dim = searcher.span_of(prefix)
-    else:
-        span, dim = None, 0
-    budget_ok = True
-    try:
-        searcher.run(masks, prefix[-1] if prefix else 0, span, dim)
-    except _Budget:
-        budget_ok = False
-    return (searcher.best, searcher.best_stack, searcher.nodes, searcher.pruned,
-            budget_ok, searcher.hit_horizon)
-
-
-def _merge_best(current_best, current_stack, cand_best, cand_stack):
-    if cand_stack is not None and (
-        cand_best > current_best
-        or (cand_best == current_best and (current_stack is None or cand_stack < current_stack))
-    ):
-        return cand_best, cand_stack
-    return current_best, current_stack
+def _search_below(G, L, horizon, node_budget, deadline, symmetry, prefix):
+    """Maximize below ``prefix``: (best, best stack, nodes, pruned, stopped,
+    hit horizon).  Runs in pool workers too, so its arguments pickle."""
+    search = _Search(G, L, horizon, node_budget, deadline, symmetry, prefix)
+    search.run(horizon)
+    return (search.best, search.best_stack, search.nodes, search.pruned,
+            search.stopped, search.hit_horizon)
 
 
 def _run_partitioned(G, L, cfg, horizon, symmetry):
-    """Split the DFS tree at a fixed depth into independent subtasks; merge
-    is (max, then lexicographically least witness), so the outcome does not
-    depend on scheduling or worker count."""
-    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
+    """Split the DFS tree at a fixed depth into independent subtasks.
+
+    Outcomes merge in tree order, so ties keep the serial witness, and the
+    subtasks share the node budget as if run one after another: a pool
+    result that would not fit in what is left is searched again with exactly
+    that budget.  The outcome does not depend on scheduling or worker count.
+    """
+    deadline = _deadline(cfg)
     prefix = _stem_indices(G, cfg.stem)
-    target = min(len(prefix) + cfg.parallel_depth, horizon)
-    coll = _Collector(G, L, horizon, cfg.node_budget, deadline, symmetry, target)
-    masks = coll.initial_masks()
-    masks = coll.replay(masks, prefix)
-    if symmetry:
-        span, dim = coll.span_of(prefix)
-    else:
-        span, dim = None, 0
-    budget_ok = True
+    split = _Search(G, L, horizon, cfg.node_budget, deadline, symmetry, prefix)
+    split.run(min(len(prefix) + cfg.parallel_depth, horizon), collect=True)
+    best, best_stack = split.best, split.best_stack
+    nodes, pruned = split.nodes, split.pruned
+    stopped, hit_horizon = split.stopped, split.hit_horizon
+    if stopped or not split.found:
+        # Cut during the partition phase, or the whole tree is shallower
+        # than the partition depth: that search is the answer.
+        return best, best_stack, nodes, pruned, stopped, hit_horizon
+    futures = [None] * len(split.found)
+    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
     try:
-        coll.run(masks, prefix[-1] if prefix else 0, span, dim)
-    except _Budget:
-        budget_ok = False
-    if not coll.found or not budget_ok:
-        # The whole tree is shallower than the partition depth (or the
-        # partitioning itself ran out of budget): search serially.
-        searcher, ok = _run_serial(G, L, cfg, horizon, symmetry)
-        return (searcher.best, searcher.best_stack, searcher.nodes + coll.nodes,
-                searcher.pruned + coll.pruned, ok and budget_ok,
-                searcher.hit_horizon)
-    tasks = [
-        (G.factors, L.kind, L.k, L.members, pfx, horizon, cfg.node_budget,
-         symmetry, deadline)
-        for pfx in coll.found
-    ]
-    best, best_stack = -1, None
-    nodes, pruned = coll.nodes, coll.pruned
-    hit_horizon = target >= horizon and coll.hit_horizon
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_subtree_task, tasks, chunksize=1))
-    else:
-        outcomes = [_subtree_task(t) for t in tasks]
-    for sub_best, sub_stack, sub_nodes, sub_pruned, sub_ok, sub_hit in outcomes:
-        best, best_stack = _merge_best(best, best_stack, sub_best, sub_stack)
-        nodes += sub_nodes
-        pruned += sub_pruned
-        budget_ok = budget_ok and sub_ok
-        hit_horizon = hit_horizon or sub_hit
-    return best, best_stack, nodes, pruned, budget_ok, hit_horizon
+        if pool is not None:
+            futures = [pool.submit(_search_below, G, L, horizon, cfg.node_budget - nodes,
+                                   deadline, symmetry, pfx) for pfx in split.found]
+        for pfx, future in zip(split.found, futures):
+            left = cfg.node_budget - nodes
+            outcome = future.result() if future is not None else None
+            if outcome is None or outcome[2] >= left:
+                outcome = _search_below(G, L, horizon, left, deadline, symmetry, pfx)
+            sub_best, sub_stack, sub_nodes, sub_pruned, sub_stopped, sub_hit = outcome
+            if sub_best > best:
+                best, best_stack = sub_best, sub_stack
+            nodes += sub_nodes
+            pruned += sub_pruned
+            hit_horizon = hit_horizon or sub_hit
+            if sub_stopped:
+                stopped = True
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return best, best_stack, nodes, pruned, stopped, hit_horizon
 
 
 def _sequence_from_indices(G: GroupSpec, indices) -> Sequence:
@@ -395,15 +415,14 @@ def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchRe
     symmetry = _symmetry_applicable(G, cfg)
 
     if cfg.parallel_depth > 0:
-        best, best_stack, nodes, pruned, budget_ok, hit_horizon = _run_partitioned(
-            G, L, cfg, horizon, symmetry)
+        outcome = _run_partitioned(G, L, cfg, horizon, symmetry)
     else:
-        searcher, budget_ok = _run_serial(G, L, cfg, horizon, symmetry)
-        best, best_stack = searcher.best, searcher.best_stack
-        nodes, pruned, hit_horizon = searcher.nodes, searcher.pruned, searcher.hit_horizon
+        outcome = _search_below(G, L, horizon, cfg.node_budget, _deadline(cfg), symmetry,
+                                _stem_indices(G, cfg.stem))
+    best, best_stack, nodes, pruned, stopped, hit_horizon = outcome
 
     seconds = time.monotonic() - t0
-    complete = budget_ok and not hit_horizon
+    complete = not stopped and not hit_horizon
     witness = _sequence_from_indices(G, best_stack) if best_stack is not None else None
     value = best + 1 if complete and best >= 0 else None
     best_length = best if best >= 0 else None
@@ -449,18 +468,6 @@ class ExtremalSet:
     complete: bool
 
 
-def orbit_key(S: Sequence) -> tuple[int, ...]:
-    """Lexicographically least index tuple over the automorphism orbit."""
-    index = group_table(S.group).index
-    best = None
-    for phi in enumerate_automorphisms(S.group):
-        image = apply_automorphism(phi, S)
-        key = tuple(index[g.coords] for g in image.expand())
-        if best is None or key < best:
-            best = key
-    return best if best is not None else ()
-
-
 def enumerate_extremal(G: GroupSpec, L: LengthSet, length: int,
                        cfg: SearchConfig | None = None,
                        up_to_automorphism: bool = False) -> ExtremalSet:
@@ -469,22 +476,13 @@ def enumerate_extremal(G: GroupSpec, L: LengthSet, length: int,
     if length < 0:
         raise InvalidInputError("length must be >= 0")
     cfg = cfg or SearchConfig()
-    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-    coll = _Collector(G, L, max(length, 1), cfg.node_budget, deadline, False, length)
-    masks = coll.initial_masks()
-    prefix = _stem_indices(G, cfg.stem)
-    masks = coll.replay(masks, prefix)
-    complete = True
-    try:
-        coll.run(masks, prefix[-1] if prefix else 0, None, 0)
-    except _Budget:
-        complete = False
-    seqs = [_sequence_from_indices(G, idx) for idx in coll.found]
+    search = _Search(G, L, max(length, 1), cfg.node_budget, _deadline(cfg), False,
+                     _stem_indices(G, cfg.stem))
+    search.run(length, collect=True)
+    seqs = [_sequence_from_indices(G, idx) for idx in search.found]
     if up_to_automorphism:
-        index = group_table(G).index
-        seqs = [S for S in seqs
-                if tuple(index[g.coords] for g in S.expand()) == orbit_key(S)]
-    return ExtremalSet(G, L, length, tuple(seqs), up_to_automorphism, complete)
+        seqs = [S for S in seqs if orbit_canonical(S) == S]
+    return ExtremalSet(G, L, length, tuple(seqs), up_to_automorphism, not search.stopped)
 
 
 def enumerate_minimal_zero_sum(G: GroupSpec, length: int,

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from zerosum import (
     InvalidInputError,
@@ -22,6 +24,8 @@ from zerosum import (
     s_leq,
     sigma,
 )
+from zerosum.groups import group_table
+from zerosum.search import _translate, _translation
 
 from conftest import (
     all_elements,
@@ -131,6 +135,25 @@ class TestBudgets:
         result = davenport(C32, SearchConfig(horizon=6))
         assert result.complete and result.value == 5
 
+    def test_deep_tree_does_not_recurse(self):
+        result = davenport(make_group([1500]), SearchConfig(node_budget=5000))
+        assert not result.complete and result.best_length == 1499
+
+    def test_partitioned_budget_bounds_total_nodes(self):
+        C333 = make_group([3, 3, 3])
+        one, two = (s_leq(C333, 4, SearchConfig(node_budget=50_000, parallel_depth=2,
+                                                workers=workers))
+                    for workers in (1, 2))
+        for result in (one, two):
+            assert not result.complete and result.value is None
+            assert result.stats.nodes == 50_000
+        assert (one.witness, one.stats.pruned) == (two.witness, two.stats.pruned)
+
+    def test_partition_phase_cut_spends_only_the_budget(self):
+        result = s_leq(make_group([3, 3, 3]), 4, SearchConfig(node_budget=30, parallel_depth=2))
+        assert not result.complete
+        assert result.stats.nodes == 30
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             SearchConfig(node_budget=0)
@@ -144,6 +167,62 @@ class TestBudgets:
     def test_s_kexp_requires_positive_k(self):
         with pytest.raises(InvalidInputError):
             s_kexp(C32, 0)
+
+
+class TestStateLayout:
+    """(value, witness, nodes, pruned) for each branch of the packed state
+    layout, recorded with the per-element length-mask kernel it replaced."""
+
+    @pytest.mark.parametrize(
+        "run,expected",
+        [
+            # L = N: one self-closed row.
+            (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 185, 349)),
+            # Interval [1,k], k < horizon: k rows of "at most l terms".
+            (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 305, 509)),
+            (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 103, 155)),
+            # Interval reaching the horizon collapses to the self-closed row.
+            (lambda: s_leq(C32, 6, SearchConfig(horizon=6)), (5, "0,1^2; 1,0^2", 185, 349)),
+            # Singleton and explicit sets: rows of exactly l terms.
+            (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 1603, 2193)),
+            (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 1225, 1794)),
+            # Singleton beyond the horizon: nothing banned, cut at the horizon.
+            (lambda: s_L(C32, LengthSet.exactly(5), SearchConfig(horizon=3)),
+             (None, "0,0^3", 220, 0)),
+            # Stem replay.
+            (lambda: s_L(C32, LengthSet.of([3, 4]),
+                         SearchConfig(stem=Sequence.from_pairs(C32, [(C32.element((1, 0)), 2)]))),
+             (6, "1,0^2; 1,1^2; 2,0^1", 30, 40)),
+        ],
+    )
+    def test_pinned_counts(self, run, expected):
+        result = run()
+        assert (result.value, str(result.witness), result.stats.nodes,
+                result.stats.pruned) == expected
+
+    @pytest.mark.parametrize(
+        "L", [LengthSet.all_positive(), LengthSet.up_to(3), LengthSet.exactly(3),
+              LengthSet.of([3, 4])])
+    def test_rejected_stem(self, L):
+        stem = Sequence.from_pairs(C32, [(C32.element((1, 0)), 3)])
+        with pytest.raises(InvalidInputError):
+            s_L(C32, L, SearchConfig(stem=stem))
+
+    @given(st.data())
+    def test_masked_rotation_matches_add_row(self, data):
+        G = make_group(data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+        assume(G.order <= 72)
+        table = group_table(G)
+        m = G.order
+        subsets = data.draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=1, max_size=3))
+        gi = data.draw(st.integers(0, m - 1))
+        add = table.add_row(gi)
+
+        def pack(rows):
+            return sum(sum(1 << s for s in row) << (r * m) for r, row in enumerate(rows))
+
+        moved = _translate(pack(subsets), _translation(G.factors, len(subsets), table.elements[gi]))
+        assert moved == pack([{add[s] for s in row} for row in subsets])
 
 
 class TestDeterminismAndModes:
@@ -211,6 +290,11 @@ class TestEnumeration:
         assert 0 < len(reduced.sequences) < len(full.sequences)
         reps = {tuple(sorted(g.coords for g in S.expand())) for S in reduced.sequences}
         assert reps <= {tuple(sorted(g.coords for g in S.expand())) for S in full.sequences}
+
+    def test_extremal_orbit_representatives(self):
+        ex = enumerate_extremal(C32, LengthSet.up_to(3), 4, up_to_automorphism=True)
+        assert [str(S) for S in ex.sequences] == [
+            "0,1^2; 1,0^2", "0,1^2; 1,0^1; 1,1^1", "0,1^2; 1,0^1; 2,1^1"]
 
     def test_minimal_zero_sum_enumeration(self):
         ex = enumerate_minimal_zero_sum(C32, 5)
