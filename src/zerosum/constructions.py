@@ -15,8 +15,8 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 from .errors import InvalidInputError, InvalidParamsError
-from .groups import GroupSpec, d_star, enumerate_automorphisms, make_group
-from .sequences import Sequence, apply_automorphism, min_zero_sum_length, sigma
+from .groups import GroupSpec, d_star, make_group
+from .sequences import Sequence, _automorphism_images, min_zero_sum_length, sigma
 
 
 @dataclass(frozen=True)
@@ -199,20 +199,12 @@ def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
     if not 0 <= k <= n - 1:
         raise InvalidInputError("need k in [0, n-1]")
     if k == 0:
-        targets = frozenset(m.terms for m in inverse_family_members(n, 1))
-
-        def matches(U: Sequence) -> bool:
-            return U.with_term(-sigma(U)).terms in targets
-
-    else:
-        member_terms = frozenset(m.terms for m in inverse_family_members(n, k))
-
-        def matches(U: Sequence) -> bool:
-            return U.terms in member_terms
-
-    return any(
-        matches(apply_automorphism(phi, S)) for phi in enumerate_automorphisms(G)
+        # phi(S) (-sigma(phi(S))) = phi(S (-sigma(S))), so extend S once.
+        S, k = S.with_term(-sigma(S)), 1
+    members = frozenset(
+        tuple(g.coords for g in m.expand()) for m in inverse_family_members(n, k)
     )
+    return any(tuple(image) in members for image in _automorphism_images(S))
 
 
 # --- verification -----------------------------------------------------------

@@ -5,7 +5,8 @@ A group is represented by its invariant factors (n_1 | n_2 | ... | n_r, all
 prime-power decomposition.  Elements are immutable coordinate tuples with
 componentwise arithmetic.  The module also provides the structural constants
 used throughout the package (exponent, order, the combinatorial lower bound
-``d_star``) and brute-force automorphism enumeration for homocyclic groups.
+``d_star``) and the automorphisms of homocyclic groups C_n^r, generated
+directly as the invertible matrices over Z_n.
 """
 
 from __future__ import annotations
@@ -197,26 +198,6 @@ def make_group(raw_factors) -> GroupSpec:
     return GroupSpec(tuple(invariant))
 
 
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a + b
-
-
-def neg(a: GroupElement) -> GroupElement:
-    return -a
-
-
-def scalar_mul(c: int, a: GroupElement) -> GroupElement:
-    return c * a
-
-
-def zero(G: GroupSpec) -> GroupElement:
-    return G.zero()
-
-
-def order(a: GroupElement) -> int:
-    return a.order()
-
-
 def d_star(G: GroupSpec) -> int:
     """1 + sum(n_i - 1): the classical lower bound for the Davenport constant."""
     return 1 + sum(n - 1 for n in G.factors)
@@ -267,18 +248,21 @@ def enumerate_elements(G: GroupSpec):
         yield GroupElement(G, coords)
 
 
-def _det(mat: list[list[int]]) -> int:
-    n = len(mat)
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        if mat[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-            total += (-1) ** j * mat[0][j] * _det(minor)
-    return total
+def _invertible_mod(matrix, p: int) -> bool:
+    """Whether a square integer matrix has full rank mod the prime p
+    (Gaussian elimination over F_p)."""
+    rows = [[c % p for c in row] for row in matrix]
+    for col in range(len(rows)):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        for i in range(col + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[col])]
+    return True
 
 
 @dataclass(frozen=True)
@@ -296,7 +280,8 @@ class Automorphism:
         r = self.group.rank
         if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
             raise InvalidInputError("matrix shape does not match group rank")
-        if math.gcd(_det([list(row) for row in self.matrix]) % n, n) != 1:
+        # Invertible over Z_n iff invertible mod every prime divisor of n.
+        if not all(_invertible_mod(self.matrix, p) for p in factorize(n)):
             raise InvalidInputError("matrix is not invertible mod n")
 
     def apply(self, a: GroupElement) -> GroupElement:
@@ -312,22 +297,60 @@ class Automorphism:
         return self.apply(a)
 
 
-def enumerate_automorphisms(G: GroupSpec):
-    """All automorphisms of a homocyclic group, by brute force over matrices.
+def _invertible_matrices(G: GroupSpec):
+    """Iterator over the invertible r x r matrices over Z_n, for G = C_n^r,
+    as tuples of row tuples in row-major lexicographic order.
 
-    Deterministic order (row-major lexicographic over entries); the identity
-    is always among the results.
+    A matrix is invertible over Z_n iff its rows are linearly independent
+    mod every prime p | n.  Rows are chosen top to bottom in lexicographic
+    order, each kept only if, for every p, it lies outside the F_p-span of
+    the rows above it, so exactly the invertible matrices are visited.
+    Raises here, before iteration starts, for a group that is not
+    homocyclic or has more than ENUMERATION_CAP automorphisms.
     """
     if not G.is_homocyclic():
         raise UnsupportedGroupError("automorphisms implemented for homocyclic groups only")
-    n = G.exponent
-    r = G.rank
-    if n ** (r * r) > ENUMERATION_CAP:
-        raise ResourceLimitError(f"{n}^{r * r} candidate matrices exceed the enumeration cap")
-    for flat in itertools.product(range(n), repeat=r * r):
-        mat = tuple(flat[i * r : (i + 1) * r] for i in range(r))
-        if math.gcd(_det([list(row) for row in mat]) % n, n) != 1:
-            continue
+    n, r = G.exponent, G.rank
+    primes = tuple(factorize(n))
+    # |GL_r(Z/n)| = n^(r^2) * prod_{p | n} prod_{i=1..r} (1 - p^(-i)).
+    count = n ** (r * r)
+    for p in primes:
+        for i in range(1, r + 1):
+            count = count // p**i * (p**i - 1)
+    if count > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"|GL_{r}(Z/{n})| = {count} automorphisms exceed the enumeration cap"
+        )
+    rows = tuple(itertools.product(range(n), repeat=r))
+    # Per row, its reduction mod each prime, aligned with ``primes``.
+    reduced = tuple(tuple(tuple(c % p for c in row) for p in primes) for row in rows)
+
+    def extend(prefix, spans):
+        last = len(prefix) == r - 1
+        for row, mods in zip(rows, reduced):
+            if any(v in span for v, span in zip(mods, spans)):
+                continue
+            if last:
+                yield prefix + (row,)
+                continue
+            grown = tuple(
+                {tuple((a * x + y) % p for x, y in zip(v, s)) for s in span for a in range(p)}
+                for v, span, p in zip(mods, spans, primes)
+            )
+            yield from extend(prefix + (row,), grown)
+
+    return extend((), tuple({(0,) * r} for _ in primes))
+
+
+def enumerate_automorphisms(G: GroupSpec):
+    """All automorphisms of a homocyclic group C_n^r, one per invertible
+    matrix over Z_n, built row by row (no candidate is rejected).
+
+    Deterministic order (row-major lexicographic over entries); the identity
+    is always among the results.  Refused with ResourceLimitError, before
+    anything is yielded, when |GL_r(Z/n)| exceeds ENUMERATION_CAP.
+    """
+    for mat in _invertible_matrices(G):
         yield Automorphism(G, mat)
 
 

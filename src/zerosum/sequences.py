@@ -8,6 +8,7 @@ split used by the mod-p machinery.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import GroupMismatchError, InvalidInputError, ResourceLimitError
@@ -15,7 +16,7 @@ from .groups import (
     Automorphism,
     GroupElement,
     GroupSpec,
-    enumerate_automorphisms,
+    _invertible_matrices,
     group_table,
 )
 
@@ -330,15 +331,32 @@ def apply_automorphism(phi: Automorphism, S: Sequence) -> Sequence:
     return Sequence.from_pairs(S.group, ((phi(g), m) for g, m in S.terms))
 
 
+def _automorphism_images(S: Sequence):
+    """For each automorphism phi of the homocyclic group of S, in
+    ``enumerate_automorphisms`` order, the sorted list of the coordinate
+    tuples of phi(S), with repetition.
+
+    Row i of phi's matrix maps a term t to coordinate i of phi(t), so the
+    dot products of every possible row with every term are computed once
+    and each image is assembled from r of them.
+    """
+    matrices = _invertible_matrices(S.group)  # refuses an unsupported G first
+    n, r = S.group.exponent, S.group.rank
+    terms = [g.coords for g in S.expand()]
+    dots = {
+        row: tuple(sum(a * c for a, c in zip(row, t)) % n for t in terms)
+        for row in itertools.product(range(n), repeat=r)
+    }
+    for mat in matrices:
+        yield sorted(zip(*(dots[row] for row in mat)))
+
+
 def orbit_canonical(S: Sequence) -> Sequence:
     """Lexicographically least image of S under the automorphism group
-    (homocyclic groups only; small orders)."""
-    index = group_table(S.group).index
-    best = None
-    best_key = None
-    for phi in enumerate_automorphisms(S.group):
-        image = apply_automorphism(phi, S)
-        key = tuple(index[g.coords] for g in image.expand())
-        if best_key is None or key < best_key:
-            best, best_key = image, key
-    return best if best is not None else S
+    (homocyclic groups only; small orders).
+
+    Images are compared as their sorted term coordinates, which orders
+    them as the element-index sequences of ``group_table`` do.
+    """
+    best = min(_automorphism_images(S))
+    return Sequence.from_elements(S.group, (GroupElement(S.group, c) for c in best))

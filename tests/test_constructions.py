@@ -173,6 +173,43 @@ class TestMatcher:
             match_inverse_structure(S, 3, 2)
 
 
+def match_by_image_scan(S, n, k):
+    """The reference matcher: apply every automorphism and compare the
+    image (extended by its negated sum when k = 0) with the family."""
+    family = {m.terms for m in inverse_family_members(n, k or 1)}
+    for phi in enumerate_automorphisms(make_group([n, n])):
+        U = apply_automorphism(phi, S)
+        if (U.with_term(-sigma(U)) if k == 0 else U).terms in family:
+            return True
+    return False
+
+
+class TestMatcherAgainstImageScan:
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_agrees_on_members_images_and_non_members(self, n):
+        G = make_group([n, n])
+        elements = [G.element((a, b)) for a in range(n) for b in range(n)]
+        autos = list(enumerate_automorphisms(G))
+        rng = random.Random(40 + n)
+        outcomes = set()
+        for k in (0, 1, n - 1):
+            members = inverse_family_members(n, k)
+            for member in rng.sample(members, min(2, len(members))):
+                image = apply_automorphism(rng.choice(autos), member)
+                # One term swapped for a random element: usually not a member.
+                terms = list(image.expand())
+                terms[rng.randrange(len(terms))] = rng.choice(elements)
+                altered = Sequence.from_elements(G, terms)
+                noise = Sequence.from_elements(
+                    G, [rng.choice(elements) for _ in range(2 * n - 2 + k)]
+                )
+                for S in (member, image, altered, noise):
+                    expected = match_by_image_scan(S, n, k)
+                    assert match_inverse_structure(S, n, k) == expected, (n, k, S.format())
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
 class TestVerificationReport:
     def test_failure_paths(self):
         S = Sequence.parse(C32, "1,0; 2,0")  # zero-sum of length 2

@@ -1,13 +1,17 @@
 """Group arithmetic, normalization, structural constants, automorphisms."""
 
 import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from zerosum import (
+    Automorphism,
     GroupSpec,
     InvalidFactorError,
     InvalidInputError,
+    ResourceLimitError,
     UnsupportedGroupError,
     d_equals_dstar_known,
     d_star,
@@ -16,7 +20,7 @@ from zerosum import (
     make_group,
     parse_group,
 )
-from zerosum.groups import group_table
+from zerosum.groups import factorize, group_table
 
 from conftest import all_elements
 
@@ -167,7 +171,66 @@ class TestStructuralConstants:
         assert not d_equals_dstar_known(make_group([6, 6, 30]))
 
 
+def brute_invertible_matrices(n, r):
+    """Every r x r matrix over Z_n, kept iff its rows span F_p^r for each
+    prime p | n (the span is listed by brute force), in row-major order."""
+    out = []
+    for flat in product(range(n), repeat=r * r):
+        mat = tuple(flat[i * r : (i + 1) * r] for i in range(r))
+        if all(
+            len({
+                tuple(sum(c * row[j] for c, row in zip(coeffs, mat)) % p for j in range(r))
+                for coeffs in product(range(p), repeat=r)
+            }) == p**r
+            for p in factorize(n)
+        ):
+            out.append(mat)
+    return out
+
+
+def gl_order(n, r):
+    """|GL_r(Z/n)| = n^(r^2) prod_{p | n} prod_{i=1..r} (1 - p^-i)."""
+    count = Fraction(n ** (r * r))
+    for p in factorize(n):
+        for i in range(1, r + 1):
+            count *= 1 - Fraction(1, p**i)
+    assert count.denominator == 1
+    return int(count)
+
+
 class TestAutomorphisms:
+    @pytest.mark.parametrize(
+        "n,r", [(2, 2), (3, 2), (4, 2), (6, 2), (2, 3), (3, 3), (5, 2), (7, 2)]
+    )
+    def test_matches_brute_force_in_order(self, n, r):
+        got = [phi.matrix for phi in enumerate_automorphisms(make_group([n] * r))]
+        assert got == brute_invertible_matrices(n, r)
+        assert len(got) == gl_order(n, r)
+
+    def test_cap_counts_automorphisms(self):
+        # |GL_3(F_5)| = 1,488,000 is over the cap; refused before any item.
+        with pytest.raises(ResourceLimitError, match="1488000"):
+            next(enumerate_automorphisms(make_group([5, 5, 5])))
+
+    def test_cap_admits_c32_squared(self):
+        # 32^4 = 1,048,576 candidate matrices, but only 393,216 automorphisms.
+        assert gl_order(32, 2) == 393_216
+        first = next(enumerate_automorphisms(make_group([32, 32])))
+        assert first.matrix == ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [((1, 0), (0, 2)), ((3, 0), (0, 1)), ((2, 3), (4, 3))],
+        ids=["singular-mod-2", "singular-mod-3", "det-6"],
+    )
+    def test_rejects_matrix_singular_mod_one_prime(self, matrix):
+        with pytest.raises(InvalidInputError):
+            Automorphism(make_group([6, 6]), matrix)
+
+    def test_accepts_matrix_invertible_mod_each_prime(self):
+        phi = Automorphism(make_group([6, 6]), ((1, 2), (3, 1)))  # det -5
+        assert phi(make_group([6, 6]).e(1)).coords == (1, 3)
+
     def test_count_is_general_linear_order(self):
         G = make_group([3, 3])
         autos = list(enumerate_automorphisms(G))

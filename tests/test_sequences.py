@@ -26,6 +26,8 @@ from zerosum import (
     subsequence_count_table,
 )
 
+from zerosum.groups import group_table
+
 from conftest import brute_has_zero_sum, brute_min_zero_sum, tuple_sum
 
 C32 = make_group([3, 3])
@@ -275,3 +277,24 @@ class TestAutomorphismAction:
             assert canon in images
             for phi in enumerate_automorphisms(C32):
                 assert orbit_canonical(apply_automorphism(phi, S)) == canon
+
+    @pytest.mark.parametrize(
+        "factors,count,length",
+        [((3, 3, 3), 2, 6), ((4, 4), 4, 6), ((6, 6), 4, 6)],
+        ids=["C3^3", "C4^2", "C6^2"],
+    )
+    def test_orbit_canonical_matches_image_scan(self, factors, count, length):
+        # The reference: the least apply_automorphism image, keyed by the
+        # enumeration indices of its terms.
+        G = make_group(list(factors))
+        index = group_table(G).index
+        rng = random.Random(33)
+        for _ in range(count):
+            S = random_sequence(G, rng.randint(1, length), rng)
+            images = (apply_automorphism(phi, S) for phi in enumerate_automorphisms(G))
+            least = min(images, key=lambda U: tuple(index[g.coords] for g in U.expand()))
+            assert orbit_canonical(S) == least
+
+    def test_orbit_canonical_of_empty_sequence(self):
+        for G in (C32, make_group([4, 4])):
+            assert orbit_canonical(Sequence.empty(G)) == Sequence.empty(G)
