@@ -40,12 +40,7 @@ from .theorems import (
     conjecture_harness,
     davenport_value,
 )
-from .sweeps import (
-    sweep_congruence,
-    sweep_i0,
-    sweep_row_transform,
-    sweep_zerosub_soundness,
-)
+from .sweeps import run_all_sweeps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +128,7 @@ def cmd_invariant(args) -> int:
     G = parse_group(args.group)
     picked = [name for name in ("leq", "exactly", "davenport", "eta", "egz", "L") if getattr(args, name) is not None and getattr(args, name) is not False]
     if len(picked) != 1:
-        raise SystemExit(_usage_error(args.parser, "choose exactly one of --leq/--exactly/--davenport/--eta/--egz/--L"))
+        args.parser.error("choose exactly one of --leq/--exactly/--davenport/--eta/--egz/--L")
     if args.leq is not None:
         L = LengthSet.up_to(args.leq)
     elif args.exactly is not None:
@@ -157,12 +152,6 @@ def cmd_invariant(args) -> int:
     else:
         _emit(json.dumps(payload, indent=2), args.out)
     return 0 if result.complete else 2
-
-
-def _usage_error(parser: _Parser, message: str) -> int:
-    parser.print_usage(sys.stderr)
-    sys.stderr.write(f"{parser.prog}: error: {message}\n")
-    return 1
 
 
 def cmd_construct(args) -> int:
@@ -209,13 +198,13 @@ def cmd_criteria(args) -> int:
     S = _read_sequence(G, args)
     p = G.p_group_prime()
     if p is None:
-        raise SystemExit(_usage_error(args.parser, f"{G} is not a p-group"))
+        args.parser.error(f"{G} is not a p-group")
     if args.D is not None:
         D = args.D
     else:
         D, _, conditional = davenport_value(G)
         if conditional:
-            raise SystemExit(_usage_error(args.parser, f"D({G}) unknown; pass --D"))
+            args.parser.error(f"D({G}) unknown; pass --D")
     report = zerosub_guarantee(S, args.k, p, D)
     payload = {
         "p": report.p,
@@ -354,12 +343,13 @@ def cmd_conjectures(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ps = tuple(int(x) for x in args.p.split(","))
-    outcomes = (
-        sweep_i0(ps=ps, max_T=args.max_T),
-        sweep_row_transform(count=args.row_count, seed=args.seed),
-        sweep_congruence(samples=args.congruence_samples, seed=args.seed),
-        sweep_zerosub_soundness(samples=args.soundness_samples, seed=args.seed),
+    outcomes = run_all_sweeps(
+        seed=args.seed,
+        max_T=args.max_T,
+        row_count=args.row_count,
+        congruence_samples=args.congruence_samples,
+        soundness_samples=args.soundness_samples,
+        ps=tuple(int(x) for x in args.p.split(",")),
     )
     all_passed = all(o.passed for o in outcomes)
     if args.format == "csv":

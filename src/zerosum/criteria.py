@@ -91,26 +91,30 @@ def a_i(T_len: int, k: int, i: int, mod: int | None = None) -> int:
     return (first + (-1) ** i * second) % mod
 
 
-def compute_i0(T_len: int, k: int, p: int, D: int) -> int | None:
-    """Least i in the usable window [1, 2k-D] with a_i nonzero mod p, or
-    None when every a_i in the window vanishes."""
-    _require_prime(p)
-    if 2 * k < D + 2:
-        raise InvalidInputError(f"need 2k >= D+2, got 2k = {2 * k}, D = {D}")
-    for i in range(1, 2 * k - D + 1):
+def _first_nonzero(T_len: int, k: int, p: int, limit: int) -> int | None:
+    """The prefix scan both public forms share: least i in [1, limit] with
+    a_i nonzero mod p, or None."""
+    for i in range(1, limit + 1):
         if a_i(T_len, k, i, mod=p):
             return i
     return None
+
+
+def compute_i0(T_len: int, k: int, p: int, D: int) -> int | None:
+    """Least i in the usable window [1, 2k-D] with a_i nonzero mod p, or
+    None when every a_i in the window vanishes: the windowed form of the
+    prefix scan."""
+    _require_prime(p)
+    if 2 * k < D + 2:
+        raise InvalidInputError(f"need 2k >= D+2, got 2k = {2 * k}, D = {D}")
+    return _first_nonzero(T_len, k, p, 2 * k - D)
 
 
 def first_nonzero_a_index(T_len: int, k: int, p: int, limit: int) -> int | None:
     """Least i in [1, limit] with a_i nonzero mod p, ignoring any window.
     Serves as the oracle the window-free predictions are tested against."""
     _require_prime(p)
-    for i in range(1, limit + 1):
-        if a_i(T_len, k, i, mod=p):
-            return i
-    return None
+    return _first_nonzero(T_len, k, p, limit)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .groups import GroupSpec, d_star, factorize, group_table
+from .groups import GroupSpec, _invertible_matrices, d_star, factorize, group_table
 from .sequences import LengthSet, Sequence, feasibility, orbit_canonical, sigma
 
 _DEFAULT_NODE_BUDGET = 10**8
@@ -475,6 +475,8 @@ def enumerate_extremal(G: GroupSpec, L: LengthSet, length: int,
     optionally reduced to lexicographically-least orbit representatives."""
     if length < 0:
         raise InvalidInputError("length must be >= 0")
+    if up_to_automorphism:
+        _invertible_matrices(G)  # refuses an unsupported G before the search
     cfg = cfg or SearchConfig()
     search = _Search(G, L, max(length, 1), cfg.node_budget, _deadline(cfg), False,
                      _stem_indices(G, cfg.stem))

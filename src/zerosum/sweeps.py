@@ -77,11 +77,12 @@ def sweep_i0(ps=(3, 5, 7), ts=(0, 1), max_T: int = 400) -> SweepOutcome:
     Two tuple families are swept: every refined digit shape (where the
     sufficient tests apply; there T_len >= 2k forces the C(u, c) != 0 branch)
     and a general-u family reaching the C(u, c) = 0 lower-bound branch.
-    Per tuple: the predicted location (exact or l0-resolved) must equal the
-    windowless scan; lower-bound cases must have no nonzero a_i below
-    p+d-v; a true check_4_7 flag must pin i0 <= p+d-v; check_4_8 must imply
-    check_4_7; a true check_4_9 flag must pin i0 = 2; and the windowed
-    compute_i0 must agree with the scan truncated to its window.
+    Per tuple, one windowless a_i scan finds i0 and every check reads it:
+    the predicted location (exact or l0-resolved) must equal i0;
+    lower-bound cases must have no nonzero a_i below p+d-v; a true
+    check_4_7 flag must pin i0 <= p+d-v; check_4_8 must imply check_4_7; a
+    true check_4_9 flag must pin i0 = 2; and the windowed compute_i0 must
+    agree with i0 truncated to its window.
     """
     rec = _Recorder("i0-predictions")
     for p in ps:
@@ -121,48 +122,46 @@ def sweep_i0(ps=(3, 5, 7), ts=(0, 1), max_T: int = 400) -> SweepOutcome:
 
 
 def _check_i0_tuple(rec, label, dec: PDecomposition) -> None:
+    """Check one tuple against a single a_i scan, run far enough to settle
+    every check: the prediction, the lower bound, the two sufficient tests
+    and the window of compute_i0."""
     p, T_len, k, d, v = dec.p, dec.T_len, dec.k, dec.d, dec.v
     pred = predict_i0(dec)
+    if pred.kind == "needs_l0" and pred.value is None:
+        rec.violation(f"{label}: l0 scan cap missed")
+        return
     bound = p + d - v
+    i0 = first_nonzero_a_index(T_len, k, p, max(bound + 4 * p, 2 * k - 2, pred.value))
+
+    def upto(limit):  # the scan truncated to [1, limit]
+        return i0 if i0 is not None and i0 <= limit else None
+
     if pred.kind in ("exact", "needs_l0"):
-        if pred.value is None:
-            rec.violation(f"{label}: l0 scan cap missed")
-            return
-        scan = first_nonzero_a_index(T_len, k, p, pred.value)
+        scan = upto(pred.value)
         if scan != pred.value:
             rec.violation(f"{label}: predicted i0={pred.value} ({pred.kind}) but scan gives {scan}")
-        actual = pred.value
     else:  # lower_bound; kind "none" is excluded by d >= v+1
-        early = first_nonzero_a_index(T_len, k, p, bound - 1)
+        early = upto(bound - 1)
         if early is not None:
             rec.violation(f"{label}: lower bound {bound} but a_{early} is nonzero")
-        actual = first_nonzero_a_index(T_len, k, p, bound + 4 * p)
 
     if dec.has_refined_shape:
         flag7 = check_4_7(dec)
-        if flag7:
-            hit = first_nonzero_a_index(T_len, k, p, bound)
-            if hit is None:
-                rec.violation(f"{label}: check_4_7 true but no nonzero a_i up to {bound}")
+        if flag7 and upto(bound) is None:
+            rec.violation(f"{label}: check_4_7 true but no nonzero a_i up to {bound}")
         if check_4_8(dec) and not flag7:
             rec.violation(f"{label}: check_4_8 true but check_4_7 false")
     try:
         flag9 = check_4_9(p, T_len, k)
     except InvalidInputError:
         flag9 = None
-    if flag9:
-        if first_nonzero_a_index(T_len, k, p, 2) != 2:
-            rec.violation(f"{label}: check_4_9 true but i0 != 2")
+    if flag9 and i0 != 2:
+        rec.violation(f"{label}: check_4_9 true but i0 != 2")
 
     # Windowed variant: with D = 2 the window is [1, 2k-2]; the windowed
     # answer must be the scan truncated to that window.
     windowed = compute_i0(T_len, k, p, D=2)
-    if actual is not None and actual <= 2 * k - 2:
-        expected = actual
-    elif actual is not None:
-        expected = None
-    else:
-        expected = first_nonzero_a_index(T_len, k, p, 2 * k - 2)
+    expected = upto(2 * k - 2)
     if windowed != expected:
         rec.violation(f"{label}: compute_i0 gave {windowed}, window truth is {expected}")
 
@@ -250,10 +249,11 @@ def run_all_sweeps(
     row_count: int = 200,
     congruence_samples: int = 500,
     soundness_samples: int = 500,
+    ps=(3, 5, 7),
 ) -> tuple[SweepOutcome, ...]:
     """All four sweeps with one shared seed, in a fixed order."""
     return (
-        sweep_i0(max_T=max_T),
+        sweep_i0(ps=ps, max_T=max_T),
         sweep_row_transform(count=row_count, seed=seed),
         sweep_congruence(samples=congruence_samples, seed=seed),
         sweep_zerosub_soundness(samples=soundness_samples, seed=seed),

@@ -29,7 +29,7 @@ from .groups import (
 )
 from .known import known_davenport, known_s_kexp, known_s_leq
 from .search import SearchConfig, davenport, enumerate_minimal_zero_sum, s_leq
-from .sequences import Sequence, count_subseq, min_zero_sum_length
+from .sequences import Sequence, feasibility, min_zero_sum_length
 
 # Above this order, brute-force searches stop being desk-scale.
 DESK_ORDER_CAP = 32
@@ -126,10 +126,9 @@ def check_lemma_5_1(G: GroupSpec, k: int, S: Sequence, data_path=None) -> bool:
         raise InvalidInputError(f"need k in [exp+1, D] = [{G.exponent + 1}, {D}], got {k}")
     if len(S) != 2 * D - k + 1:
         raise InvalidInputError(f"need |S| = 2D-k+1 = {2 * D - k + 1}, got {len(S)}")
-    zero = G.zero()
-    for i in range(D + 1, len(S) + 1):
-        if count_subseq(S, zero, i) != 0:
-            raise InvalidInputError(f"S has a zero-sum subsequence of length {i} > D")
+    long_lengths = [l for l in feasibility(S).zero_sum_lengths() if l > D]
+    if long_lengths:
+        raise InvalidInputError(f"S has a zero-sum subsequence of length {long_lengths[0]} > D")
     return binom_mod_p(D, k - 1, p) != 0
 
 

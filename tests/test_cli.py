@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from zerosum import Sequence, make_group
+import zerosum.cli as cli
+from zerosum import Sequence, make_group, run_all_sweeps
 
 CMD = [sys.executable, "-m", "zerosum.cli"]
 
@@ -18,6 +19,13 @@ def run_cli(*args, check=False):
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
     return proc
+
+
+def assert_usage_error(returncode, stderr, sub):
+    """argparse's usage-error shape: exit 1, the usage line, then the error."""
+    assert returncode == 1
+    assert stderr.startswith("usage:")
+    assert f"zerosum {sub}: error:" in stderr
 
 
 class TestInvariant:
@@ -59,10 +67,10 @@ class TestInvariant:
 
     def test_requires_exactly_one_selector(self):
         proc = run_cli("invariant", "C3^2")
-        assert proc.returncode == 1
+        assert_usage_error(proc.returncode, proc.stderr, "invariant")
         assert "choose exactly one" in proc.stderr
         proc = run_cli("invariant", "C3^2", "--leq", "3", "--davenport")
-        assert proc.returncode == 1
+        assert_usage_error(proc.returncode, proc.stderr, "invariant")
 
     def test_bad_group_exit_1(self):
         proc = run_cli("invariant", "spam", "--davenport")
@@ -154,7 +162,14 @@ class TestCriteria:
 
     def test_non_p_group_exit_1(self):
         proc = run_cli("criteria", "C6", "--k", "4", "--seq", "1^6")
-        assert proc.returncode == 1
+        assert_usage_error(proc.returncode, proc.stderr, "criteria")
+
+    def test_unknown_davenport_constant_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "davenport_value", lambda G: (5, "assumed D=D*", True))
+        rc = cli.main(["criteria", "C3^2", "--k", "4", "--seq", "1,0^3; 0,1^3; 1,1; 2,2"])
+        err = capsys.readouterr().err
+        assert_usage_error(rc, err, "criteria")
+        assert err.endswith("zerosum criteria: error: D(C3^2) unknown; pass --D\n")
 
     def test_non_zero_sum_exit_1(self):
         proc = run_cli("criteria", "C3^2", "--k", "4", "--seq", "1,0^3; 0,1^3; 1,1; 2,1")
@@ -233,6 +248,19 @@ class TestSweepCommand:
                        "--format", "text", check=True)
         assert "i0-predictions" in proc.stdout
         assert "pass" in proc.stdout
+
+    def test_json_matches_run_all_sweeps(self):
+        proc = run_cli("sweep", "--p", "3,5", "--max-T", "60", "--seed", "4",
+                       "--row-count", "10", "--congruence-samples", "8",
+                       "--soundness-samples", "8", check=True)
+        payload = json.loads(proc.stdout)
+        outcomes = run_all_sweeps(seed=4, max_T=60, row_count=10, congruence_samples=8,
+                                  soundness_samples=8, ps=(3, 5))
+        assert payload["suites"] == [
+            {"name": o.name, "cases": o.cases, "passed": o.passed, "violations": list(o.violations)}
+            for o in outcomes
+        ]
+        assert payload["passed"] is all(o.passed for o in outcomes)
 
 
 class TestTopLevel:

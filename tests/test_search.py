@@ -11,6 +11,7 @@ from zerosum import (
     LengthSet,
     Sequence,
     SearchConfig,
+    UnsupportedGroupError,
     davenport,
     enumerate_extremal,
     enumerate_minimal_zero_sum,
@@ -295,6 +296,21 @@ class TestEnumeration:
         ex = enumerate_extremal(C32, LengthSet.up_to(3), 4, up_to_automorphism=True)
         assert [str(S) for S in ex.sequences] == [
             "0,1^2; 1,0^2", "0,1^2; 1,0^1; 1,1^1", "0,1^2; 1,0^1; 2,1^1"]
+
+    def test_orbit_reduction_refused_before_search(self, monkeypatch):
+        # C2xC4 is not homocyclic: refuse before the search starts, not after
+        # it (and not silently when a budget cut leaves nothing to reduce)
+        G = make_group([2, 4])
+        with pytest.raises(UnsupportedGroupError):
+            enumerate_extremal(G, LengthSet.up_to(2), 2, SearchConfig(node_budget=1),
+                               up_to_automorphism=True)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr("zerosum.search._Search", no_search)
+        with pytest.raises(UnsupportedGroupError):
+            enumerate_extremal(G, LengthSet.up_to(2), 2, up_to_automorphism=True)
 
     def test_minimal_zero_sum_enumeration(self):
         ex = enumerate_minimal_zero_sum(C32, 5)

@@ -1,5 +1,10 @@
 """The randomized/exhaustive cross-validation sweeps themselves."""
 
+import dataclasses
+
+import pytest
+
+import zerosum.sweeps as sweeps_mod
 from zerosum import (
     make_group,
     run_all_sweeps,
@@ -56,3 +61,32 @@ class TestRunAll:
         ]
         assert first == second
         assert all(o.passed for o in first)
+
+
+def _value_plus_one(original):
+    def faulty(dec):
+        pred = original(dec)
+        return pred if pred.value is None else dataclasses.replace(pred, value=pred.value + 1)
+
+    return faulty
+
+
+FAULTS = {
+    "predict_i0 value+1": ("predict_i0", _value_plus_one),
+    "check_4_7 always true": ("check_4_7", lambda original: lambda *args: True),
+    "check_4_9 always true": ("check_4_9", lambda original: lambda *args: True),
+    "compute_i0 always None": ("compute_i0", lambda original: lambda *args, **kwargs: None),
+}
+
+
+class TestSweepCatchesFaults:
+    """Each injected fault must surface as a violation, so a passing sweep
+    means something."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_reported(self, monkeypatch, fault):
+        name, make_faulty = FAULTS[fault]
+        monkeypatch.setattr(sweeps_mod, name, make_faulty(getattr(sweeps_mod, name)))
+        outcome = sweep_i0(ps=(3,), ts=(0, 1), max_T=80)
+        assert outcome.cases > 100
+        assert not outcome.passed

@@ -120,6 +120,12 @@ class TestLemma51:
             # length-7 zero-sum violates the [D+1, |S|] screen
             check_lemma_5_1(C32, 4, Sequence.parse(C32, "1,0^3; 0,1^3; 0,0"))
 
+    @pytest.mark.parametrize("seq", ["1,0^3; 0,1^3; 1,1", "1,0^3; 0,1^3; 0,0"])
+    def test_long_zero_sum_names_first_length(self, seq):
+        # zero-sum lengths {3, 6} and {1, 3, 4, 6, 7}: 6 is the first above D = 5
+        with pytest.raises(InvalidInputError, match="length 6 > D"):
+            check_lemma_5_1(C32, 4, Sequence.parse(C32, seq))
+
 
 class TestTheorem19:
     def test_c53_all_flags_true(self):
