@@ -19,6 +19,8 @@ import sys
 
 from zerosum import SearchConfig, d_star, known_s_leq, make_group, s_leq
 
+CSV_FIELDS = ("group", "k", "search", "known", "source", "agree")
+
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -93,20 +95,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{G!s:>10} {k:>3} {searched:>8} {known:>8} {source:>18} {agree:>6}")
             if args.witness and res.witness is not None:
                 print(f"{'':>10} witness: {res.witness}")
-            rows.append(
-                {
-                    "group": str(G),
-                    "k": k,
-                    "search": searched,
-                    "known": known,
-                    "source": source,
-                    "agree": agree,
-                }
-            )
+            rows.append(dict(zip(CSV_FIELDS, (str(G), k, searched, known, source, agree))))
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.csv}")

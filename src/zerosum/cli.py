@@ -29,7 +29,7 @@ from .constructions import (
 )
 from .criteria import zerosub_guarantee
 from .errors import ResourceLimitError, ZeroSumError
-from .groups import GroupSpec, factorize, parse_group
+from .groups import GroupSpec, is_prime, parse_group
 from .search import SearchConfig, SearchResult, s_L
 from .sequences import LengthSet, Sequence
 from .theorems import (
@@ -237,15 +237,9 @@ def _claim_payload(claim: TheoremClaim) -> dict:
 
 
 def _matching_1_10_cases(G: GroupSpec):
-    if G.rank < 2 or not G.is_homocyclic():
+    if G.rank < 2 or not G.is_homocyclic() or not is_prime(G.exponent):
         return
-    factored = factorize(G.exponent)
-    if len(factored) != 1:
-        return
-    ((p, n),) = factored.items()
-    if n != 1:
-        return
-    r = G.rank
+    p, r = G.exponent, G.rank
     if p == 2:
         t = (r + 2).bit_length() - 2
         if t >= 1 and 2 ** (t + 1) == r + 2:
@@ -338,8 +332,7 @@ def cmd_conjectures(args) -> int:
         _emit("\n".join(lines), args.out)
     else:
         _emit(json.dumps(payload, indent=2), args.out)
-    budget_hit = any(r.source.endswith("budget exhausted)") for r in report.rows)
-    return 2 if budget_hit else 0
+    return 2 if any(r.is_lower_bound for r in report.rows) else 0
 
 
 def cmd_sweep(args) -> int:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import InvalidInputError
+from .groups import is_prime
 from .sequences import Sequence, sigma
 
 # Scan caps.  The l0 scan is theoretically unbounded; this cap is far beyond
@@ -25,32 +26,14 @@ from .sequences import Sequence, sigma
 L0_SCAN_CAP = 1000
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise InvalidInputError(f"p = {p} is not prime")
 
 
-def binom_mod_p(a: int, b: int, p: int) -> int:
-    """C(a, b) mod p by base-p digits: the product of C(a_i, b_i) over
-    matching digits.  b < 0 or b > a gives 0."""
-    _require_prime(p)
-    if a < 0:
-        raise InvalidInputError(f"need a >= 0, got {a}")
+def _binom(a: int, b: int, p: int) -> int:
+    """C(a, b) mod p for a >= 0 and p prime, unchecked: the product of
+    C(a_i, b_i) over matching base-p digits.  b < 0 or b > a gives 0."""
     if b < 0 or b > a:
         return 0
     result = 1
@@ -61,6 +44,15 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
         a //= p
         b //= p
     return result
+
+
+def binom_mod_p(a: int, b: int, p: int) -> int:
+    """C(a, b) mod p by base-p digits: the product of C(a_i, b_i) over
+    matching digits.  b < 0 or b > a gives 0."""
+    _require_prime(p)
+    if a < 0:
+        raise InvalidInputError(f"need a >= 0, got {a}")
+    return _binom(a, b, p)
 
 
 def gen_binom(n: int, j: int) -> int:
@@ -86,16 +78,25 @@ def a_i(T_len: int, k: int, i: int, mod: int | None = None) -> int:
         first = comb(m, k - i) if 0 <= k - i <= m else 0
         return first + (-1) ** i * comb(m + i - 1, k - 1)
     _require_prime(mod)
-    first = binom_mod_p(m, k - i, mod) if k - i >= 0 else 0
-    second = binom_mod_p(m + i - 1, k - 1, mod)
-    return (first + (-1) ** i * second) % mod
+    return _a_mod(m, k, i, mod)
+
+
+def _a_mod(m: int, k: int, i: int, p: int) -> int:
+    """a_i mod p with m = T_len - k, for m >= 0, k >= 1, i >= 1 and p prime,
+    unchecked."""
+    first = _binom(m, k - i, p)
+    second = _binom(m + i - 1, k - 1, p)
+    return (first - second if i & 1 else first + second) % p
 
 
 def _first_nonzero(T_len: int, k: int, p: int, limit: int) -> int | None:
     """The prefix scan both public forms share: least i in [1, limit] with
-    a_i nonzero mod p, or None."""
+    a_i nonzero mod p, or None.  p must already be checked prime."""
+    if limit >= 1 and (k < 1 or T_len < k):
+        raise InvalidInputError("need 1 <= k <= T_len")
+    m = T_len - k
     for i in range(1, limit + 1):
-        if a_i(T_len, k, i, mod=p):
+        if _a_mod(m, k, i, p):
             return i
     return None
 
@@ -213,14 +214,14 @@ def predict_i0(dec: PDecomposition) -> I0Prediction:
     p, u, v, c, d = dec.p, dec.u, dec.v, dec.c, dec.d
     if d <= v:
         return I0Prediction(kind="none", value=None)
-    if binom_mod_p(u, c, p) != 0:
+    if _binom(u, c, p) != 0:
         if (d - v) % 2 == 0:
             return I0Prediction(kind="exact", value=d - v)
         if v + d != p:
             return I0Prediction(kind="exact", value=d - v + 1)
         l0 = None
         for l in range(1, L0_SCAN_CAP + 1):
-            if (binom_mod_p(u, c - l, p) + (-1) ** (1 + l) * binom_mod_p(u + l, c, p)) % p:
+            if (_binom(u, c - l, p) + (-1) ** (1 + l) * _binom(u + l, c, p)) % p:
                 l0 = l
                 break
         value = d - v + l0 * p if l0 is not None else None
@@ -235,7 +236,7 @@ def check_4_7(dec: PDecomposition) -> bool:
         raise InvalidInputError("decomposition lacks the refined digit shape")
     p = dec.p
     sign = -1 if (p + dec.d - dec.v) % 2 else 1
-    return (binom_mod_p(dec.u1, dec.c1 - 1, p) + sign * binom_mod_p(dec.u1 + 1, dec.c1, p)) % p != 0
+    return (_binom(dec.u1, dec.c1 - 1, p) + sign * _binom(dec.u1 + 1, dec.c1, p)) % p != 0
 
 
 def check_4_8(dec: PDecomposition) -> bool:
@@ -248,24 +249,17 @@ def check_4_8(dec: PDecomposition) -> bool:
 def check_4_9(p: int, T_len: int, k: int) -> bool:
     """Sufficient test for i0 = 2 in the k = 1 mod p^t shape (t >= 1):
     with k = c1*p^t + 1 and T_len - k = u1*p^t + v1, the test is
-    C(u1, c1-1) + C(u1+1, c1) nonzero mod p.  Valid for p = 2 as well."""
-    _require_prime(p)
+    C(u1, c1-1) + C(u1+1, c1) nonzero mod p.  Valid for p = 2 as well.
+    The shape is d = 1 with the refined digit shape of PDecomposition."""
     if k < 2 or T_len < k:
+        _require_prime(p)  # a bad p is reported before a bad k
         raise InvalidInputError("need 2 <= k <= T_len")
-    m = k - 1
-    t = 0
-    while m % p == 0:
-        m //= p
-        t += 1
-    if t < 1:
+    dec = PDecomposition.from_lengths(T_len, k, p)
+    if dec.d != 1:
         raise InvalidInputError(f"need k = 1 mod p, got k = {k}")
-    c1 = m
-    if not 1 <= c1 <= p - 1:
-        raise InvalidInputError(f"need c1 in [1, p-1], got c1 = {c1}")
-    u1, _v1 = divmod(T_len - k, p**t)
-    if not 1 <= u1 <= p - 1:
-        raise InvalidInputError(f"need u1 in [1, p-1], got u1 = {u1}")
-    return (binom_mod_p(u1, c1 - 1, p) + binom_mod_p(u1 + 1, c1, p)) % p != 0
+    if not dec.has_refined_shape:
+        raise InvalidInputError(f"need c1 and u1 in [1, p-1], got k = {k}, T_len = {T_len}")
+    return (_binom(dec.u1, dec.c1 - 1, p) + _binom(dec.u1 + 1, dec.c1, p)) % p != 0
 
 
 def row_transform_verify(x: int, c: int, k: int, u_1: int, u_2: int, lam: int) -> bool:
@@ -330,16 +324,14 @@ def zerosub_guarantee(T: Sequence, k: int, p: int, D: int) -> CriterionReport:
     if len(T) < 2 * k:
         raise InvalidInputError(f"need |T| >= 2k, got |T| = {len(T)}")
     T_len = len(T)
-    a_values = tuple((i, a_i(T_len, k, i, mod=p)) for i in range(1, 2 * k - D + 1))
+    dec = PDecomposition.from_lengths(T_len, k, p)
+    a_values = tuple((i, _a_mod(T_len - k, k, i, p)) for i in range(1, 2 * k - D + 1))
     i0 = next((i for i, r in a_values if r), None)
 
-    dec = PDecomposition.from_lengths(T_len, k, p)
-    l4_7 = check_4_7(dec) if dec.has_refined_shape else None
-    c4_8 = check_4_8(dec) if dec.has_refined_shape else None
-    try:
-        l4_9 = check_4_9(p, T_len, k)
-    except InvalidInputError:
-        l4_9 = None
+    refined = dec.has_refined_shape
+    l4_7 = check_4_7(dec) if refined else None
+    c4_8 = check_4_8(dec) if refined else None
+    l4_9 = check_4_9(p, T_len, k) if refined and dec.d == 1 else None
     return CriterionReport(
         p=p,
         T_len=T_len,

@@ -44,6 +44,10 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return factorize(n) == {n: 1}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """C_{n_1} + ... + C_{n_r} with 1 < n_1 | n_2 | ... | n_r.

@@ -40,8 +40,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .groups import GroupSpec, _invertible_matrices, d_star, factorize, group_table
-from .sequences import LengthSet, Sequence, feasibility, orbit_canonical, sigma
+from .groups import GroupSpec, _invertible_matrices, d_star, group_table, is_prime
+from .sequences import LengthSet, Sequence, orbit_canonical, sigma
 
 _DEFAULT_NODE_BUDGET = 10**8
 
@@ -320,9 +320,7 @@ def _symmetry_applicable(G: GroupSpec, cfg: SearchConfig) -> bool:
     # span, which holds when the coordinate ring is a field: prime exponent.
     if not cfg.symmetry_reduction or cfg.stem is not None:
         return False
-    if not G.is_homocyclic():
-        return False
-    return factorize(G.exponent) == {G.exponent: 1}
+    return G.is_homocyclic() and is_prime(G.exponent)
 
 
 def _stem_indices(G: GroupSpec, stem: Sequence | None) -> tuple[int, ...]:
@@ -492,24 +490,19 @@ def enumerate_minimal_zero_sum(G: GroupSpec, length: int,
     """All minimal zero-sum sequences of the given length.
 
     Built by extending each zero-sum-free sequence W of length-1 with the
-    negated sum -sigma(W), then discarding non-minimal results (those where
-    some proper subsequence of W already attains sigma(W)).
+    negated sum -sigma(W).  Every such W.(-sigma(W)) is minimal: were
+    sigma(T') = sigma(W) for a proper subsequence T' of W, then W minus T'
+    would be a nonempty zero-sum subsequence of W.  A sequence is kept only
+    when -sigma(W) is its last term in group_table order, so each is built
+    once and the output follows the order of the W.
     """
     if length < 1:
         raise InvalidInputError("length must be >= 1")
     free = enumerate_extremal(G, LengthSet.all_positive(), length - 1, cfg)
-    out = {}
-    for W in free.sequences:
+    seqs = []
+    for W in free.sequences:  # lexicographic in group_table order
         g = -sigma(W)
-        if length > 1:
-            tab = feasibility(W)
-            target = sigma(W)
-            if any(tab.possible(target, l) for l in range(1, length - 1)):
-                continue
-        S = W.with_term(g)
-        out[S.terms] = S
-    index = group_table(G).index
-    seqs = sorted(out.values(),
-                  key=lambda S: tuple(index[g.coords] for g in S.expand()))
+        if not W.terms or not g < W.terms[-1][0]:
+            seqs.append(W.with_term(g))
     return ExtremalSet(G, LengthSet.all_positive(), length, tuple(seqs), False,
                        free.complete)

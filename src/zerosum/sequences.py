@@ -255,12 +255,12 @@ def sigma(S: Sequence) -> GroupElement:
     return S.group.element(acc)
 
 
-def feasibility(S: Sequence, cell_cap: int = TABLE_CELL_CAP) -> FeasibilityTable:
+def feasibility(S: Sequence) -> FeasibilityTable:
     """Dynamic-programming table of achievable (sum, length) pairs."""
     table = group_table(S.group)
     m = len(table.elements)
     n = S.length
-    if m * (n + 1) > cell_cap:
+    if m * (n + 1) > TABLE_CELL_CAP:
         raise ResourceLimitError(f"feasibility table {m}x{n + 1} exceeds cap")
     masks = [0] * m
     masks[0] = 1  # empty subsequence

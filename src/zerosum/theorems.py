@@ -15,16 +15,17 @@ in a fixed order so reports are deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .criteria import binom_mod_p, is_prime
+from .criteria import PDecomposition, binom_mod_p
 from .errors import InvalidInputError
 from .groups import (
     GroupSpec,
-    d_equals_dstar_known,
     d_star,
     enumerate_elements,
+    is_prime,
     make_group,
 )
 from .known import known_davenport, known_s_kexp, known_s_leq
@@ -144,16 +145,15 @@ def check_thm_1_9(G: GroupSpec, k: int, data_path=None) -> TheoremClaim:
     D = d_star(G)  # exact: p-group
     if not G.exponent + 1 <= k <= D:
         raise InvalidInputError(f"need k in [exp+1, D] = [{G.exponent + 1}, {D}], got {k}")
-    c, d = divmod(k, p)
-    if c < 1:
+    # k = c*p + d with c = c1 * p^t: the digits of k alone, read from the
+    # pair (2k, k), which from_lengths always accepts.
+    dec = PDecomposition.from_lengths(2 * k, k, p)
+    if dec.c < 1:
         raise InvalidInputError(f"k = {k} has no digit shape c1*p^(t+1)+d with c1 >= 1")
-    t = 0  # k = c1 * p^(t+1) + d with t = (multiplicity of p in c) >= 0
-    c1 = c
-    while c1 % p == 0:
-        c1 //= p
-        t += 1
-    if c1 > p - 1:
+    if dec.t is None:
+        c1 = dec.c // math.gcd(dec.c, p ** dec.c.bit_length())  # c without its p-part
         raise InvalidInputError(f"k = {k} has leading digit c1 = {c1} > p-1")
+    t, d = dec.t, dec.d
 
     worst_window = True
     for T_len in range(2 * k, 2 * D - k + 2):
@@ -351,27 +351,21 @@ class ConjectureReport:
     kexp_rows: tuple[KexpRow, ...]
 
 
-def _bundled_row(G, j, m, data_path) -> ConjectureRow:
+def _bundled_row(G, m, data_path) -> tuple[int | None, bool, str]:
+    """(value, is_lower_bound, source) for s_leq(G, m) from published data."""
     hit = known_s_leq(G, m, path=data_path)
     if hit is None:
-        return ConjectureRow(j=j, m=m, value=None, is_lower_bound=False,
-                             bound=0, holds=None, source="missing")
-    return ConjectureRow(
-        j=j, m=m, value=hit.value, is_lower_bound=False, bound=0,
-        holds=None, source=hit.source,
-    )
+        return None, False, "missing"
+    return hit.value, False, hit.source
 
 
-def _computed_row(G, j, m, cfg) -> ConjectureRow:
+def _computed_row(G, m, cfg) -> tuple[int | None, bool, str]:
+    """(value, is_lower_bound, source) for s_leq(G, m) by search; a cut
+    search yields the lower bound it established."""
     result = s_leq(G, m, cfg)
     if result.complete and result.value is not None:
-        return ConjectureRow(j=j, m=m, value=result.value, is_lower_bound=False,
-                             bound=0, holds=None, source="search")
-    lower = (result.best_length or 0) + 1
-    return ConjectureRow(
-        j=j, m=m, value=lower, is_lower_bound=True, bound=0,
-        holds=None, source="search (budget exhausted)",
-    )
+        return result.value, False, "search"
+    return (result.best_length or 0) + 1, True, "search (budget exhausted)"
 
 
 def conjecture_harness(
@@ -404,17 +398,20 @@ def conjecture_harness(
     rows = []
     for j in range(1, D - G.exponent + 1):
         m = D - j
-        row = _bundled_row(G, j, m, data_path) if source == "bundled" else _computed_row(G, j, m, cfg)
-        bound = D + j
-        if row.value is None:
-            holds = None
-        elif row.is_lower_bound:
-            holds = False if row.value > bound else None
+        if source == "bundled":
+            value, is_lower_bound, row_source = _bundled_row(G, m, data_path)
         else:
-            holds = row.value <= bound
+            value, is_lower_bound, row_source = _computed_row(G, m, cfg)
+        bound = D + j
+        if value is None:
+            holds = None
+        elif is_lower_bound:
+            holds = False if value > bound else None
+        else:
+            holds = value <= bound
         rows.append(ConjectureRow(
-            j=row.j, m=row.m, value=row.value, is_lower_bound=row.is_lower_bound,
-            bound=bound, holds=holds, source=row.source,
+            j=j, m=m, value=value, is_lower_bound=is_lower_bound,
+            bound=bound, holds=holds, source=row_source,
         ))
 
     # k_G: walk m downward from D-1; the first non-holding row stops the run.

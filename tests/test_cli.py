@@ -1,8 +1,11 @@
 """End-to-end command-line behavior: payloads, exit codes, reproducibility."""
 
+import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ import zerosum.cli as cli
 from zerosum import Sequence, make_group, run_all_sweeps
 
 CMD = [sys.executable, "-m", "zerosum.cli"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, check=False):
@@ -229,6 +233,12 @@ class TestConjectures:
         payload = json.loads(proc.stdout)
         assert payload["k_G"] == 4
 
+    def test_budget_exhausted_exit_2(self):
+        proc = run_cli("conjectures", "C3^3", "--budget-nodes", "50")
+        assert proc.returncode == 2
+        payload = json.loads(proc.stdout)
+        assert any(row["is_lower_bound"] for row in payload["rows"])
+
 
 class TestSweepCommand:
     def test_runs_and_is_byte_identical(self, tmp_path):
@@ -272,3 +282,29 @@ class TestTopLevel:
 
     def test_help_exits_0(self):
         assert run_cli("--help").returncode == 0
+
+
+class TestInvariantTableScript:
+    def run_script(self, *args):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "invariant_table.py"), *args],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+
+    def test_empty_k_range_writes_header_only(self, tmp_path):
+        out = tmp_path / "out.csv"
+        proc = self.run_script("3,3", "--k-min", "9", "--csv", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().splitlines() == ["group,k,search,known,source,agree"]
+        assert "wrote 0 rows" in proc.stdout
+
+    def test_search_agrees_with_tables(self, tmp_path):
+        out = tmp_path / "out.csv"
+        proc = self.run_script("3,3", "2,2,2", "2,4", "--csv", str(out))
+        assert proc.returncode == 0, proc.stderr
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 11
+        assert {r["agree"] for r in rows} == {"yes", "-"}
+        assert ("C3^2", "3", "7") in {(r["group"], r["k"], r["search"]) for r in rows}

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zerosum
+from zerosum import groups
 from zerosum import (
     InvalidInputError,
     PDecomposition,
@@ -65,6 +67,24 @@ class TestBinomialArithmetic:
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert not is_prime(1)
         assert not is_prime(0)
+
+    def test_is_prime_matches_trial_division(self):
+        def reference(n):  # the former criteria.is_prime body
+            if n < 2:
+                return False
+            if n < 4:
+                return True
+            if n % 2 == 0:
+                return False
+            f = 3
+            while f * f <= n:
+                if n % f == 0:
+                    return False
+                f += 2
+            return True
+
+        assert all(is_prime(n) == reference(n) for n in range(-5, 5000))
+        assert zerosum.is_prime is groups.is_prime
 
 
 class TestAiTable:
@@ -216,6 +236,43 @@ class TestSufficientFlags:
             check_4_9(3, 14, 4)  # k-1 = 3 has t = 1 but v_p alignment fails on u1
         with pytest.raises(InvalidInputError):
             check_4_9(3, 10, 3)  # t = v_3(2) = 0 < 1
+        with pytest.raises(InvalidInputError, match="k = 1 mod p"):
+            check_4_9(3, 10, 3)
+        with pytest.raises(InvalidInputError, match="c1 and u1"):
+            check_4_9(3, 14, 4)
+        with pytest.raises(InvalidInputError, match="not prime"):
+            check_4_9(4, 1, 1)
+
+    def test_check_4_9_matches_own_digit_loop(self):
+        def reference(p, T_len, k):  # the former check_4_9 body
+            if k < 2 or T_len < k:
+                raise InvalidInputError("need 2 <= k <= T_len")
+            m = k - 1
+            t = 0
+            while m % p == 0:
+                m //= p
+                t += 1
+            if t < 1:
+                raise InvalidInputError("need k = 1 mod p")
+            c1 = m
+            if not 1 <= c1 <= p - 1:
+                raise InvalidInputError("need c1 in [1, p-1]")
+            u1, _v1 = divmod(T_len - k, p**t)
+            if not 1 <= u1 <= p - 1:
+                raise InvalidInputError("need u1 in [1, p-1]")
+            return (binom_mod_p(u1, c1 - 1, p) + binom_mod_p(u1 + 1, c1, p)) % p != 0
+
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except InvalidInputError:
+                return "raises"
+
+        inputs = [(p, T_len, k) for p in (2, 3, 5, 7) for T_len in range(150)
+                  for k in range(-1, T_len + 2)]
+        diffs = [args for args in inputs if outcome(check_4_9, *args) != outcome(reference, *args)]
+        assert not diffs
+        assert sum(outcome(check_4_9, *args) is True for args in inputs) > 100
 
 
 class TestRowTransform:
@@ -273,6 +330,18 @@ class TestZerosubGuarantee:
     def test_rejects_wrong_prime(self):
         with pytest.raises(InvalidInputError):
             zerosub_guarantee(self.T, 4, 2, 5)
+
+    def test_flag_4_9_set_exactly_where_check_4_9_applies(self):
+        for p in (2, 3, 5):
+            G = make_group([p])
+            for T_len in range(4, 40):
+                T = Sequence.from_pairs(G, [(G.zero(), T_len)])
+                for k in range(2, T_len // 2 + 1):
+                    try:
+                        expected = check_4_9(p, T_len, k)
+                    except InvalidInputError:
+                        expected = None
+                    assert zerosub_guarantee(T, k, p, 2).l4_9 == expected
 
     def test_rejects_small_window_or_length(self):
         with pytest.raises(InvalidInputError):

@@ -325,6 +325,27 @@ class TestEnumeration:
                 rest = coords[:drop] + coords[drop + 1 :]
                 assert brute_min_zero_sum(rest, (3, 3)) is None
 
+    @pytest.mark.parametrize("factors", [[2], [5], [6], [2, 2, 2], [3, 3], [2, 4], [4, 4]])
+    def test_minimal_zero_sum_matches_filtered_construction(self, factors):
+        def reference(G, length, cfg):  # the former filter, dedupe and sort
+            free = enumerate_extremal(G, LengthSet.all_positive(), length - 1, cfg)
+            out = {}
+            for W in free.sequences:
+                if length > 1:
+                    tab = feasibility(W)
+                    if any(tab.possible(sigma(W), l) for l in range(1, length - 1)):
+                        continue
+                S = W.with_term(-sigma(W))
+                out[S.terms] = S
+            index = group_table(G).index
+            return sorted(out.values(), key=lambda S: tuple(index[g.coords] for g in S.expand()))
+
+        G = make_group(factors)
+        for cfg in (None, SearchConfig(node_budget=40)):
+            for length in range(1, davenport(G).value + 2):
+                ex = enumerate_minimal_zero_sum(G, length, cfg)
+                assert list(ex.sequences) == reference(G, length, cfg), length
+
     def test_minimal_zero_sum_cyclic_generators(self):
         G = make_group([6])
         ex = enumerate_minimal_zero_sum(G, 6)

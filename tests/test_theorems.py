@@ -9,11 +9,13 @@ from zerosum import (
     InvalidInputError,
     SearchConfig,
     Sequence,
+    binom_mod_p,
     check_lemma_5_1,
     check_thm_1_8,
     check_thm_1_9,
     check_thm_1_10,
     conjecture_harness,
+    d_star,
     davenport_value,
     known_s_leq,
     lemma_3_6_property,
@@ -152,6 +154,54 @@ class TestTheorem19:
             check_thm_1_9(C33, 8)  # k > D
         with pytest.raises(InvalidInputError):
             check_thm_1_9(make_group([2, 2, 2, 2, 2]), 6)  # leading digit 3 > p-1
+
+    @pytest.mark.parametrize("factors", [
+        [2] * 4, [2] * 5, [3] * 3, [3] * 4, [5] * 2, [5] * 3,
+        [2] * 11, [3] * 18,  # leading digits c1 = 3 and 4 above a power of p
+    ])
+    def test_matches_own_digit_loop(self, factors):
+        def reference(G, k):  # the former check_thm_1_9 body, as (hypotheses, bound)
+            p = G.p_group_prime()
+            D = d_star(G)
+            if not G.exponent + 1 <= k <= D:
+                raise InvalidInputError(f"need k in [exp+1, D] = [{G.exponent + 1}, {D}], got {k}")
+            c, d = divmod(k, p)
+            if c < 1:
+                raise InvalidInputError(f"k = {k} has no digit shape c1*p^(t+1)+d with c1 >= 1")
+            t = 0
+            c1 = c
+            while c1 % p == 0:
+                c1 //= p
+                t += 1
+            if c1 > p - 1:
+                raise InvalidInputError(f"k = {k} has leading digit c1 = {c1} > p-1")
+            worst_window = True
+            for T_len in range(2 * k, 2 * D - k + 2):
+                v = (T_len - k) % p
+                if 2 * k - D < p + d - v:
+                    worst_window = False
+                    break
+            hypotheses = (
+                ("2k-D >= p+d-v for all |T| in [2k, 2D-k+1]", worst_window),
+                ("2D-2k+1 < ((p-1)/2) p^(t+1)", 2 * (2 * D - 2 * k + 1) < (p - 1) * p ** (t + 1)),
+                ("C(D, k-1) != 0 mod p", binom_mod_p(D, k - 1, p) != 0),
+            )
+            applies = all(flag for _, flag in hypotheses)
+            return hypotheses, 2 * D - k + 1 if applies else None
+
+        def outcome(f, G, k):
+            try:
+                return f(G, k)
+            except InvalidInputError as exc:
+                return str(exc)
+
+        def current(G, k):
+            claim = check_thm_1_9(G, k)
+            return claim.hypotheses, claim.claimed_bound
+
+        G = make_group(factors)
+        for k in range(-1, d_star(G) + 3):
+            assert outcome(current, G, k) == outcome(reference, G, k), k
 
 
 class TestTheorem110:
