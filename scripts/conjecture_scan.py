@@ -3,8 +3,9 @@
 
 Enumerates finite abelian groups by invariant-factor chains up to a
 given order, runs the conjecture harness on each, and reports the
-observed threshold k_G (the smallest k with s_{<=k}(G) = D(G) + 1)
-against the conjectured value (D+1)/2. The exact equality can only
+observed threshold k_G (the least k such that s_{<=m}(G) <= 2D(G) - m,
+that is s_{<=D-j}(G) <= D+j, for every m in [k, D-1]) against the
+conjectured value (D+1)/2. The exact equality can only
 hold when D is odd and the exponent is small enough, so "no" rows are
 data points, not failures. Groups whose Davenport constant is not
 exactly known at the requested scale are listed as skipped.
@@ -22,6 +23,8 @@ import csv
 from typing import Iterator
 
 from zerosum import InvalidInputError, SearchConfig, conjecture_harness, make_group
+
+CSV_FIELDS = ("group", "order", "D", "D_source", "k_G", "target", "holds", "monotone")
 
 
 def factor_chains(max_order: int, min_rank: int) -> Iterator[tuple[int, ...]]:
@@ -105,27 +108,19 @@ def main(argv: list[str] | None = None) -> int:
             f"{G!s:>12} {G.order:>5} {report.d_value:>3} {report.d_source:>14} "
             f"{k_g!s:>4} {target:>8} {holds:>6} {mono:>9}"
         )
-        rows.append(
-            {
-                "group": str(G),
-                "order": G.order,
-                "D": report.d_value,
-                "D_source": report.d_source,
-                "k_G": report.k_g,
-                "target": target,
-                "holds": report.conjecture_k_half,
-                "monotone": report.monotone_consistent,
-            }
-        )
+        rows.append(dict(zip(CSV_FIELDS, (
+            str(G), G.order, report.d_value, report.d_source, report.k_g, target,
+            report.conjecture_k_half, report.monotone_consistent,
+        ))))
 
     if skipped:
         print(f"\nskipped {len(skipped)} group(s):")
         for name, reason in skipped:
             print(f"  {name}: {reason}")
 
-    if args.csv and rows:
+    if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.csv}")

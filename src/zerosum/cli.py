@@ -90,7 +90,9 @@ def _add_budget_flags(sub) -> None:
     sub.add_argument("--workers", type=int, default=1, metavar="W")
     sub.add_argument("--parallel-depth", type=int, default=0, metavar="P")
     sub.add_argument("--symmetry", action="store_true",
-                     help="enable automorphism symmetry reduction (prime homocyclic groups)")
+                     help="enable automorphism symmetry reduction: the flag trick on "
+                          "prime-exponent homocyclic groups, orbit-minimum first "
+                          "terms (same witness) on every other group")
     sub.add_argument("--horizon", type=int, default=None, metavar="H")
 
 

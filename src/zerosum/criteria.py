@@ -181,7 +181,12 @@ class PDecomposition:
                 hi, lo = divmod(u, p**t_try)
                 if 1 <= hi <= p - 1:
                     u1, u2 = hi, lo
-        return cls(p=p, T_len=T_len, k=k, u=u, v=v, c=c, d=d, t=t, c1=c1, u1=u1, u2=u2)
+        # These digits meet every check of __post_init__ by construction (for
+        # T_len >= 2k, u >= c gives u1 >= c1), so it is not run again.
+        dec = object.__new__(cls)
+        dec.__dict__.update(p=p, T_len=T_len, k=k, u=u, v=v, c=c, d=d,
+                            t=t, c1=c1, u1=u1, u2=u2)
+        return dec
 
     @property
     def has_refined_shape(self) -> bool:

@@ -5,8 +5,9 @@ A group is represented by its invariant factors (n_1 | n_2 | ... | n_r, all
 prime-power decomposition.  Elements are immutable coordinate tuples with
 componentwise arithmetic.  The module also provides the structural constants
 used throughout the package (exponent, order, the combinatorial lower bound
-``d_star``) and the automorphisms of homocyclic groups C_n^r, generated
-directly as the invertible matrices over Z_n.
+``d_star``), the automorphisms of homocyclic groups C_n^r, generated
+directly as the invertible matrices over Z_n, and the Aut(G)-orbit minima of
+any G, read from height (Ulm) sequences.
 """
 
 from __future__ import annotations
@@ -344,6 +345,51 @@ def _invertible_matrices(G: GroupSpec):
             yield from extend(prefix + (row,), grown)
 
     return extend((), tuple({(0,) * r} for _ in primes))
+
+
+@lru_cache(maxsize=None)
+def orbit_minima(G: GroupSpec) -> int:
+    """The elements that come first, in group_table order, in their
+    Aut(G)-orbit, as an |G|-bit int; no automorphism is listed.
+
+    Two elements of a finite abelian p-group share an Aut-orbit iff their
+    height (Ulm) sequences agree (Kaplansky, Infinite Abelian Groups), and
+    Aut(G) is the product of the automorphism groups of the p-components.
+    The p-component of x has coordinates y_i = x_i mod p^e_i, e_i = v_p(n_i);
+    p^j y has height min{v_p(y_i) + j : y_i != 0, v_p(y_i) + j < e_i}, and
+    the sequence ends at the first j with p^j y = 0.
+    """
+    # Per prime p: (p, per coordinate (p^e_i, e_i)).
+    local = [(p, [(p**e, e) for e in (factorize(n).get(p, 0) for n in G.factors)])
+             for p in factorize(G.order)]
+
+    def valuation(y, p):
+        v = 0
+        while y % p == 0:
+            y //= p
+            v += 1
+        return v
+
+    seen = set()
+    mask = 0
+    for index, coords in enumerate(group_table(G).elements):
+        key = []
+        for p, exps in local:
+            # (v_p(y_i), e_i) for each nonzero y_i.
+            pairs = [(valuation(c % q, p), e) for c, (q, e) in zip(coords, exps) if c % q]
+            j = 0
+            while True:
+                heights = [v + j for v, e in pairs if v + j < e]
+                if not heights:
+                    break
+                key.append(min(heights))
+                j += 1
+            key.append(-1)  # ends this prime's sequence
+        key = tuple(key)
+        if key not in seen:
+            seen.add(key)
+            mask |= 1 << index
+    return mask
 
 
 def enumerate_automorphisms(G: GroupSpec):

@@ -24,12 +24,18 @@ One iterative DFS serves every caller: it maximizes the length, and can
 also collect every sequence of a fixed length (for partitioning the tree
 into subtasks, and for ``enumerate_extremal``).
 
-Optional symmetry reduction (homocyclic groups of prime exponent only): in
-canonical order, the j-th appended element that leaves the subgroup generated
-by the previous ones can be forced to the j-th member of a fixed flag,
-because the stabilizer of the flag prefix acts transitively on the elements
-outside its span and fixes the span pointwise.  This changes witnesses but
-not values; it is off by default.
+Optional symmetry reduction (``symmetry_reduction``, off by default) takes
+one of two forms.  On homocyclic groups of prime exponent, in canonical
+order, the j-th appended element that leaves the subgroup generated by the
+previous ones can be forced to the j-th member of a fixed flag, because the
+stabilizer of the flag prefix acts transitively on the elements outside its
+span and fixes the span pointwise; this changes witnesses but not values.
+On every other group the first term is restricted to the elements that come
+first in their Aut(G)-orbit (``groups.orbit_minima``, read from Ulm
+classes).  The lexicographically least L-free sequence of maximum length is
+least in its orbit, since phi(S) sorts below S whenever phi maps S's first
+term below it, so its first term is such an element: value and witness
+equal the plain search's.  Neither form applies below a stem.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .groups import GroupSpec, _invertible_matrices, d_star, group_table, is_prime
+from .groups import GroupSpec, _invertible_matrices, d_star, group_table, is_prime, orbit_minima
 from .sequences import LengthSet, Sequence, orbit_canonical, sigma
 
 _DEFAULT_NODE_BUDGET = 10**8
@@ -52,8 +58,12 @@ class SearchConfig:
 
     The time budget is wall-clock and therefore not reproducible across
     machines; results are deterministic when the search finishes or stops on
-    the node budget.  ``stem`` restricts the search to canonical sequences
-    extending the given multiset (symmetry reduction is disabled then).
+    the node budget.  ``symmetry_reduction`` uses the flag trick on
+    homocyclic groups of prime exponent (same value, possibly another
+    witness) and restricts the first term to Aut(G)-orbit minima on every
+    other group (same value and witness).  ``stem`` restricts the search to
+    canonical sequences extending the given multiset (symmetry reduction is
+    disabled then).
     """
 
     node_budget: int = _DEFAULT_NODE_BUDGET
@@ -159,7 +169,8 @@ class _Search:
     A node of length >= horizon is not expanded and marks the search as cut
     at the horizon.  Every visited node counts against the node budget, the
     root included; reaching it, or passing the deadline, stops the search
-    with ``stopped`` set.
+    with ``stopped`` set.  ``symmetry`` is None, "flag" (the flag trick) or
+    "roots" (the root's children are orbit minima; only without a prefix).
     """
 
     def __init__(self, G, L, horizon, node_budget, deadline, symmetry, prefix):
@@ -197,7 +208,8 @@ class _Search:
         self.span = (1 << m) - 1  # without symmetry every element counts as inside
         self.dim = 0
         self.flag_bits = None
-        if symmetry:
+        self.roots = orbit_minima(G) if symmetry == "roots" and not prefix else (1 << m) - 1
+        if symmetry == "flag":
             self.sym_n = G.exponent
             self.flag_bits = [1 << G.exponent**j for j in range(G.rank)] + [0]
             self.span = 1  # the zero element
@@ -236,7 +248,7 @@ class _Search:
         full, step, top, lower = self.full, self.step, self.top, self.lower_bans
         moves = self._moves
         horizon = self.horizon
-        flag_bits = self.flag_bits
+        flag_bits, roots = self.flag_bits, self.roots
         found = self.found if collect else None
         budget, deadline = self.node_budget, self.deadline
         nodes, pruned, best, best_stack = self.nodes, self.pruned, self.best, self.best_stack
@@ -276,6 +288,8 @@ class _Search:
                 avail = ((row >> start) ^ banned) << start
                 if flag_bits is not None:
                     avail &= span | flag_bits[dim]
+                elif not frames:  # the root
+                    avail &= roots
                 if avail:
                     frames.append([y, avail, span, dim])
 
@@ -315,12 +329,13 @@ def _effective_horizon(G: GroupSpec, cfg: SearchConfig) -> int:
     return cfg.horizon if cfg.horizon is not None else max(4 * d_star(G), 1)
 
 
-def _symmetry_applicable(G: GroupSpec, cfg: SearchConfig) -> bool:
+def _symmetry_applicable(G: GroupSpec, cfg: SearchConfig) -> str | None:
     # Flag forcing relies on the stabilizer acting transitively outside the
     # span, which holds when the coordinate ring is a field: prime exponent.
+    # Every other group gets orbit-minimum first terms.
     if not cfg.symmetry_reduction or cfg.stem is not None:
-        return False
-    return G.is_homocyclic() and is_prime(G.exponent)
+        return None
+    return "flag" if G.is_homocyclic() and is_prime(G.exponent) else "roots"
 
 
 def _stem_indices(G: GroupSpec, stem: Sequence | None) -> tuple[int, ...]:
@@ -470,14 +485,18 @@ def enumerate_extremal(G: GroupSpec, L: LengthSet, length: int,
                        cfg: SearchConfig | None = None,
                        up_to_automorphism: bool = False) -> ExtremalSet:
     """All L-free sequences over G of the given length (canonical multisets),
-    optionally reduced to lexicographically-least orbit representatives."""
+    optionally reduced to lexicographically-least orbit representatives.
+
+    An orbit-least sequence starts at an orbit minimum, so the reduced
+    enumeration collects only those before keeping each S with
+    ``orbit_canonical(S) == S``."""
     if length < 0:
         raise InvalidInputError("length must be >= 0")
     if up_to_automorphism:
         _invertible_matrices(G)  # refuses an unsupported G before the search
     cfg = cfg or SearchConfig()
-    search = _Search(G, L, max(length, 1), cfg.node_budget, _deadline(cfg), False,
-                     _stem_indices(G, cfg.stem))
+    search = _Search(G, L, max(length, 1), cfg.node_budget, _deadline(cfg),
+                     "roots" if up_to_automorphism else None, _stem_indices(G, cfg.stem))
     search.run(length, collect=True)
     seqs = [_sequence_from_indices(G, idx) for idx in search.found]
     if up_to_automorphism:

@@ -33,6 +33,19 @@ def all_elements(factors):
     return list(product(*(range(n) for n in factors)))
 
 
+def factor_chains(max_order):
+    """Every invariant-factor chain n_1 | ... | n_r (n_1 >= 2, r >= 1) with
+    n_1 * ... * n_r <= max_order."""
+
+    def extend(chain, order):
+        yield chain
+        for m in range(chain[-1], max_order // order + 1, chain[-1]):
+            yield from extend(chain + (m,), order * m)
+
+    for n in range(2, max_order + 1):
+        yield from extend((n,), n)
+
+
 def tuple_sum(coords_list, factors):
     total = [0] * len(factors)
     for coords in coords_list:

@@ -308,3 +308,30 @@ class TestInvariantTableScript:
         assert len(rows) == 11
         assert {r["agree"] for r in rows} == {"yes", "-"}
         assert ("C3^2", "3", "7") in {(r["group"], r["k"], r["search"]) for r in rows}
+
+
+class TestConjectureScanScript:
+    def run_script(self, *args):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "conjecture_scan.py"), *args],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+
+    def test_no_rows_writes_header_only(self, tmp_path):
+        # no invariant-factor chain of rank >= 2 has order <= 3
+        out = tmp_path / "out.csv"
+        proc = self.run_script("--max-order", "3", "--csv", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().splitlines() == [
+            "group,order,D,D_source,k_G,target,holds,monotone"]
+        assert "wrote 0 rows" in proc.stdout
+
+    def test_rows_under_the_header(self, tmp_path):
+        out = tmp_path / "out.csv"
+        proc = self.run_script("--max-order", "9", "--source", "computed", "--csv", str(out))
+        assert proc.returncode == 0, proc.stderr
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["group"], r["D"], r["k_G"]) for r in rows] == [
+            ("C2^2", "3", "2"), ("C2xC4", "5", "4"), ("C3^2", "5", "3"), ("C2^3", "4", "3")]

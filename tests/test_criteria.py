@@ -156,6 +156,47 @@ class TestDecomposition:
         with pytest.raises(InvalidInputError):
             PDecomposition.from_lengths(11, 5, 4)
 
+    def test_from_lengths_passes_every_direct_check(self):
+        # from_lengths skips __post_init__; a direct construction from the
+        # same fields runs every check and must accept and equal it.
+        fields = ("p", "T_len", "k", "u", "v", "c", "d", "t", "c1", "u1", "u2")
+        for p in (2, 3, 5, 7):
+            for T_len in range(1, 80):
+                for k in range(1, T_len + 1):
+                    dec = PDecomposition.from_lengths(T_len, k, p)
+                    assert PDecomposition(**{f: getattr(dec, f) for f in fields}) == dec
+
+    @pytest.mark.parametrize("T_len,k", [(5, 0), (4, 5), (3, -1)])
+    def test_from_lengths_rejects_bad_lengths(self, T_len, k):
+        with pytest.raises(InvalidInputError, match="need 1 <= k <= T_len"):
+            PDecomposition.from_lengths(T_len, k, 3)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (dict(p=4, T_len=11, k=5, u=1, v=2, c=1, d=1), "p = 4 is not prime"),
+            (dict(p=3, T_len=5, k=0, u=1, v=2, c=0, d=0), "need 1 <= k <= T_len"),
+            (dict(p=3, T_len=4, k=5, u=-1, v=2, c=1, d=2), "need 1 <= k <= T_len"),
+            (dict(p=3, T_len=11, k=5, u=1, v=3, c=1, d=2), "u, v do not decompose T_len - k"),
+            (dict(p=3, T_len=11, k=5, u=2, v=0, c=0, d=5), "c, d do not decompose k"),
+            (dict(p=3, T_len=11, k=5, u=2, v=0, c=1, d=2, t=0, c1=2), "t, c1 do not decompose c"),
+            (dict(p=3, T_len=11, k=5, u=2, v=0, c=1, d=2, t=0), "t, c1 do not decompose c"),
+            (dict(p=3, T_len=11, k=5, u=2, v=0, c=1, d=2, t=0, c1=1, u1=1, u2=0),
+             "u1, u2 do not decompose u"),
+            (dict(p=3, T_len=11, k=5, u=2, v=0, c=1, d=2, t=0, c1=1, u1=2),
+             "u1, u2 do not decompose u"),
+            (dict(p=3, T_len=20, k=5, u=5, v=0, c=1, d=2, t=0, c1=1, u1=5, u2=0),
+             "u1 or u2 out of range"),
+            (dict(p=3, T_len=29, k=12, u=5, v=2, c=4, d=0, t=1, c1=1, u1=1, u2=2),
+             "t, c1 do not decompose c"),
+            (dict(p=3, T_len=17, k=3, u=4, v=2, c=1, d=0, t=0, c1=1, u1=0, u2=4),
+             "u1 or u2 out of range"),
+        ],
+    )
+    def test_direct_construction_keeps_every_check(self, fields, message):
+        with pytest.raises(InvalidInputError, match=message):
+            PDecomposition(**fields)
+
 
 class TestPredictI0:
     def test_exact_case(self):

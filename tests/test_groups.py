@@ -20,9 +20,9 @@ from zerosum import (
     make_group,
     parse_group,
 )
-from zerosum.groups import factorize, group_table
+from zerosum.groups import factorize, group_table, is_prime, orbit_minima
 
-from conftest import all_elements
+from conftest import all_elements, factor_chains
 
 
 class TestConstruction:
@@ -256,6 +256,56 @@ class TestAutomorphisms:
     def test_non_homocyclic_unsupported(self):
         with pytest.raises(UnsupportedGroupError):
             list(enumerate_automorphisms(make_group([2, 4])))
+
+
+def brute_orbit_minima(factors):
+    """The orbit minima (as an index bitmask) over every automorphism of
+    C_n1 + ... + C_nr, each found as generator images b_i with ord(b_i) | n_i
+    that give a bijection.  A choice of b_k with a * b_k in the span of
+    b_1..b_(k-1) for some 0 < a < n_k is dropped at once: the map is then
+    not injective on C_n1 + ... + C_nk, so no extension is a bijection."""
+    elements = all_elements(factors)
+    index = {c: i for i, c in enumerate(elements)}
+    zero = elements[0]
+
+    def combine(s, a, b):
+        return tuple((x + a * y) % n for x, y, n in zip(s, b, factors))
+
+    orders = [math.lcm(*(n // math.gcd(x, n) for x, n in zip(c, factors))) for c in elements]
+    least = list(range(len(elements)))  # least index in each element's orbit
+
+    def extend(k, images):  # images of C_n1 + ... + C_nk, in element order
+        if k == len(factors):
+            for i, c in enumerate(images):
+                least[i] = min(least[i], index[c])
+            return
+        n, span = factors[k], set(images)
+        for b, ord_b in zip(elements, orders):
+            if n % ord_b == 0 and all(combine(zero, a, b) not in span for a in range(1, n)):
+                extend(k + 1, [combine(s, a, b) for s in images for a in range(n)])
+
+    extend(0, [zero])
+    return sum(1 << i for i, j in enumerate(least) if i == j)
+
+
+# Chains the flag trick does not cover (it handles prime-exponent
+# homocyclic groups), where symmetry reduction restricts the first term.
+ORBIT_CHAINS = [f for f in factor_chains(32) if not (len(set(f)) == 1 and is_prime(f[0]))]
+
+
+class TestOrbitMinima:
+    @pytest.mark.parametrize("factors", ORBIT_CHAINS, ids=str)
+    def test_matches_brute_force_orbits(self, factors):
+        assert orbit_minima(make_group(factors)) == brute_orbit_minima(factors)
+
+    def test_prime_exponent_homocyclic(self):
+        # Aut(C_p^r) = GL_r(F_p) is transitive on nonzero elements.
+        for factors in ((2, 2), (3, 3), (2, 2, 2), (5,)):
+            assert orbit_minima(make_group(factors)) == 0b11
+
+    def test_classes_of_c4_squared(self):
+        # 0; order 4 (height 0); order 2 (height 1): first (0,0), (0,1), (0,2).
+        assert orbit_minima(make_group([4, 4])) == 0b111
 
 
 class TestGroupTable:

@@ -19,13 +19,14 @@ from zerosum import (
     feasibility,
     make_group,
     min_zero_sum_length,
+    orbit_canonical,
     s_L,
     s_egz,
     s_kexp,
     s_leq,
     sigma,
 )
-from zerosum.groups import group_table
+from zerosum.groups import d_star, group_table, is_prime
 from zerosum.search import _translate, _translation
 
 from conftest import (
@@ -35,6 +36,7 @@ from conftest import (
     brute_min_zero_sum,
     brute_s_L,
     brute_s_leq,
+    factor_chains,
 )
 
 C32 = make_group([3, 3])
@@ -263,6 +265,65 @@ class TestDeterminismAndModes:
             davenport(C32, SearchConfig(stem=stem))
 
 
+def root_restricted_cases(max_order):
+    """(factors, L) for each chain of order <= max_order that the flag trick
+    does not cover: L = N, [1,k] for k in [exp, D*-1], and {exp}.  On cyclic
+    groups {n} is kept to n <= 10: the plain search for C12 already takes
+    4M nodes, and it grows fast with n."""
+    cases = []
+    for factors in factor_chains(max_order):
+        if len(set(factors)) == 1 and is_prime(factors[0]):
+            continue
+        G = make_group(factors)
+        n = G.exponent
+        cases.append((factors, LengthSet.all_positive()))
+        cases += [(factors, LengthSet.up_to(k)) for k in range(n, d_star(G))]
+        if G.rank > 1 or n <= 10:
+            cases.append((factors, LengthSet.exactly(n)))
+    return cases
+
+
+class TestRootRestriction:
+    """symmetry_reduction on a group the flag trick does not cover keeps
+    the plain search's value, witness and completeness."""
+
+    @pytest.mark.parametrize("factors,L", root_restricted_cases(16), ids=str)
+    def test_same_answer_as_plain_search(self, factors, L):
+        G = make_group(factors)
+        plain = s_L(G, L)
+        reduced = s_L(G, L, SearchConfig(symmetry_reduction=True))
+        assert plain.complete
+        assert (reduced.value, reduced.witness, reduced.complete) == (
+            plain.value, plain.witness, plain.complete)
+        assert reduced.stats.nodes <= plain.stats.nodes
+
+    def test_fewer_nodes(self):
+        # C4^2 has three orbits: 0, the elements of order 4, those of order 2.
+        G = make_group([4, 4])
+        L = LengthSet.up_to(4)
+        assert s_L(G, L).stats.nodes == 7615
+        assert s_L(G, L, SearchConfig(symmetry_reduction=True)).stats.nodes == 2864
+
+    @pytest.mark.parametrize("factors", [[2, 6], [4, 4]])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partitioned_matches_serial(self, factors, workers):
+        G = make_group(factors)
+        for L in (LengthSet.all_positive(), LengthSet.up_to(G.exponent)):
+            serial = s_L(G, L, SearchConfig(symmetry_reduction=True))
+            split = s_L(G, L, SearchConfig(symmetry_reduction=True, parallel_depth=2,
+                                           workers=workers))
+            assert (split.value, split.witness, split.complete) == (
+                serial.value, serial.witness, serial.complete)
+
+    def test_stem_search_is_not_restricted(self):
+        G = make_group([4, 4])
+        stem = Sequence.from_pairs(G, [(G.element((1, 1)), 1)])
+        plain = s_L(G, LengthSet.up_to(4), SearchConfig(stem=stem))
+        reduced = s_L(G, LengthSet.up_to(4), SearchConfig(stem=stem, symmetry_reduction=True))
+        assert (reduced.value, reduced.witness, reduced.stats.nodes) == (
+            plain.value, plain.witness, plain.stats.nodes)
+
+
 class TestEnumeration:
     def brute_free_multisets(self, G, banned, length):
         from itertools import combinations_with_replacement
@@ -296,6 +357,22 @@ class TestEnumeration:
         ex = enumerate_extremal(C32, LengthSet.up_to(3), 4, up_to_automorphism=True)
         assert [str(S) for S in ex.sequences] == [
             "0,1^2; 1,0^2", "0,1^2; 1,0^1; 1,1^1", "0,1^2; 1,0^1; 2,1^1"]
+
+    @pytest.mark.parametrize(
+        "factors,L,length",
+        [([3, 3], LengthSet.all_positive(), 4), ([3, 3], LengthSet.up_to(3), 4),
+         ([4, 4], LengthSet.all_positive(), 3), ([2, 2, 2], LengthSet.exactly(2), 4),
+         ([6, 6], LengthSet.all_positive(), 2)],
+        ids=str)
+    def test_orbit_reduction_equals_filtered_enumeration(self, factors, L, length):
+        # The reduced enumeration only starts at orbit minima; its output is
+        # the full enumeration's orbit-least sequences, order included.
+        G = make_group(factors)
+        full = enumerate_extremal(G, L, length)
+        expected = tuple(S for S in full.sequences if orbit_canonical(S) == S)
+        reduced = enumerate_extremal(G, L, length, up_to_automorphism=True)
+        assert expected and reduced.complete
+        assert reduced.sequences == expected
 
     def test_orbit_reduction_refused_before_search(self, monkeypatch):
         # C2xC4 is not homocyclic: refuse before the search starts, not after
