@@ -9,11 +9,21 @@ nonzero index i0, predicts i0 from base-p digit data alone, and provides the
 cheap sufficient tests check_4_7 / check_4_8 / check_4_9 for i0 to land
 inside small windows.  The index names of those tests and of the row
 transform are project-local criterion identifiers.
+
+Single binomials mod p go through Lucas' theorem digit by digit (_binom).
+The a_i scans (compute_i0, first_nonzero_a_index and the window table of
+zerosub_guarantee) share one kernel, _nonzero_a, which steps both terms one
+index at a time: it reads the low-digit binomial from a cached p x p Pascal
+table mod p (for p <= PASCAL_TABLE_MAX_P) and recomputes the high-part
+factor only on a borrow or a carry, once every p steps.  predict_i0 and the
+sufficient tests keep plain _binom, so the sweeps compare two separately
+computed answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InvalidInputError
@@ -24,6 +34,10 @@ from .sequences import Sequence, sigma
 # anything the bundled sweeps reach and a capped miss surfaces as value None
 # rather than a wrong answer.
 L0_SCAN_CAP = 1000
+# Primes up to this share one cached p x p Pascal table mod p (at most
+# 16,129 entries); a scan with a larger prime computes only the low-digit
+# binomials it visits.
+PASCAL_TABLE_MAX_P = 127
 
 
 def _require_prime(p: int) -> None:
@@ -78,26 +92,83 @@ def a_i(T_len: int, k: int, i: int, mod: int | None = None) -> int:
         first = comb(m, k - i) if 0 <= k - i <= m else 0
         return first + (-1) ** i * comb(m + i - 1, k - 1)
     _require_prime(mod)
-    return _a_mod(m, k, i, mod)
+    first = _binom(m, k - i, mod)
+    second = _binom(m + i - 1, k - 1, mod)
+    return (first - second if i & 1 else first + second) % mod
 
 
-def _a_mod(m: int, k: int, i: int, p: int) -> int:
-    """a_i mod p with m = T_len - k, for m >= 0, k >= 1, i >= 1 and p prime,
-    unchecked."""
-    first = _binom(m, k - i, p)
-    second = _binom(m + i - 1, k - 1, p)
-    return (first - second if i & 1 else first + second) % p
+@lru_cache(maxsize=None)
+def _pascal_mod(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(rows, cols) of Pascal's triangle mod p on [0, p-1]^2:
+    rows[x][y] = cols[y][x] = C(x, y) mod p, zero for y > x."""
+    rows = [(1,) + (0,) * (p - 1)]
+    for _ in range(1, p):
+        prev = rows[-1]
+        rows.append((1,) + tuple((prev[y - 1] + prev[y]) % p for y in range(1, p)))
+    return tuple(rows), tuple(zip(*rows))
+
+
+def _nonzero_a(m: int, k: int, p: int, limit: int):
+    """Yield (i, a_i mod p) for each i in [1, limit], in order, with a_i
+    nonzero mod p; m = T_len - k, with m >= 0, k >= 1 and p prime, unchecked.
+
+    Both terms are Lucas products C(a, b) = C(a mod p, b mod p) *
+    C(a // p, b // p) mod p.  The first term C(m, k-i) keeps its top while
+    its bottom falls by one per step; the second, C(m+i-1, k-1), keeps its
+    bottom while its top rises by one.  So each low-digit factor is a table
+    read, and the two high factors stay fixed over a run of steps that ends
+    at the next borrow or carry (at most p steps), where the one that moved
+    is recomputed.  A run whose high factors are both 0 mod p has every a_i
+    zero and is skipped whole.
+    """
+    m_hi, m_lo = divmod(m, p)
+    k_hi, k_lo = divmod(k - 1, p)
+    b_hi, b_lo = k_hi, k_lo  # bottom k-i of the first term, at i = 1
+    t_hi, t_lo = m_hi, m_lo  # top m+i-1 of the second term, at i = 1
+    if p <= PASCAL_TABLE_MAX_P:
+        rows, cols = _pascal_mod(p)
+        low1, low2 = rows[m_lo], cols[k_lo]
+    else:  # only the low digits this scan visits
+        visited = range(min(limit, p))
+        low1 = {y: comb(m_lo, y) % p for y in ((k - 1 - j) % p for j in visited)}
+        low2 = {x: comb(x, k_lo) % p for x in ((m + j) % p for j in visited)}
+    high1 = high2 = _binom(m_hi, k_hi, p)
+    i = 1
+    while i <= limit:
+        run = min(b_lo + 1, p - t_lo, limit + 1 - i)
+        if high1 or high2:
+            for j in range(run):
+                first = low1[b_lo - j] * high1
+                second = low2[t_lo + j] * high2
+                a = (first - second if (i + j) & 1 else first + second) % p
+                if a:
+                    yield i + j, a
+        i += run
+        b_lo -= run
+        if b_lo < 0:  # borrow; a negative bottom gives 0 from here on
+            b_lo += p
+            b_hi -= 1
+            high1 = _binom(m_hi, b_hi, p)
+        t_lo += run
+        if t_lo == p:  # carry
+            t_lo = 0
+            t_hi += 1
+            high2 = _binom(t_hi, k_hi, p)
 
 
 def _first_nonzero(T_len: int, k: int, p: int, limit: int) -> int | None:
     """The prefix scan both public forms share: least i in [1, limit] with
-    a_i nonzero mod p, or None.  p must already be checked prime."""
-    if limit >= 1 and (k < 1 or T_len < k):
+    a_i nonzero mod p, or None.  p must already be checked prime.
+
+    It takes the first index the digit-stepping kernel _nonzero_a yields:
+    low-digit binomials are table reads, the high-part factors change only
+    on a borrow or a carry, and a run where both vanish is skipped whole."""
+    if limit < 1:
+        return None
+    if k < 1 or T_len < k:
         raise InvalidInputError("need 1 <= k <= T_len")
-    m = T_len - k
-    for i in range(1, limit + 1):
-        if _a_mod(m, k, i, p):
-            return i
+    for i, _ in _nonzero_a(T_len - k, k, p, limit):
+        return i
     return None
 
 
@@ -157,10 +228,6 @@ class PDecomposition:
                     raise InvalidInputError("u1, u2 do not decompose u")
                 if not 1 <= self.u1 <= self.p - 1 or not 0 <= self.u2 <= pt - 1:
                     raise InvalidInputError("u1 or u2 out of range")
-                if self.T_len >= 2 * self.k and self.u1 < self.c1:
-                    raise InvalidInputError(
-                        "T_len >= 2k forces u1 >= c1; decomposition is inconsistent"
-                    )
 
     @classmethod
     def from_lengths(cls, T_len: int, k: int, p: int) -> "PDecomposition":
@@ -181,8 +248,8 @@ class PDecomposition:
                 hi, lo = divmod(u, p**t_try)
                 if 1 <= hi <= p - 1:
                     u1, u2 = hi, lo
-        # These digits meet every check of __post_init__ by construction (for
-        # T_len >= 2k, u >= c gives u1 >= c1), so it is not run again.
+        # These digits meet every check of __post_init__ by construction, so
+        # it is not run again.
         dec = object.__new__(cls)
         dec.__dict__.update(p=p, T_len=T_len, k=k, u=u, v=v, c=c, d=d,
                             t=t, c1=c1, u1=u1, u2=u2)
@@ -330,8 +397,10 @@ def zerosub_guarantee(T: Sequence, k: int, p: int, D: int) -> CriterionReport:
         raise InvalidInputError(f"need |T| >= 2k, got |T| = {len(T)}")
     T_len = len(T)
     dec = PDecomposition.from_lengths(T_len, k, p)
-    a_values = tuple((i, _a_mod(T_len - k, k, i, p)) for i in range(1, 2 * k - D + 1))
-    i0 = next((i for i, r in a_values if r), None)
+    window = 2 * k - D
+    nonzero = dict(_nonzero_a(T_len - k, k, p, window))
+    a_values = tuple((i, nonzero.get(i, 0)) for i in range(1, window + 1))
+    i0 = min(nonzero, default=None)
 
     refined = dec.has_refined_shape
     l4_7 = check_4_7(dec) if refined else None

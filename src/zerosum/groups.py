@@ -46,7 +46,17 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    return factorize(n) == {n: 1}
+    """Trial division, stopping at the first divisor."""
+    if n < 4:
+        return n > 1
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 @dataclass(frozen=True)

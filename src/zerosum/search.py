@@ -413,15 +413,18 @@ def _sequence_from_indices(G: GroupSpec, indices) -> Sequence:
 def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchResult:
     """Compute s_L(G) by exhaustive search.
 
-    For interval L = [1, k] with k < exp(G), powers of a maximal-order
-    element are L-free at every length, so the result is certified infinite
-    without searching.  For other L the search runs to the configured
-    horizon and reports unknown if any branch was cut there.  With a stem,
-    the value reported is 1 + the longest L-free extension of the stem.
+    s_L(G) is finite iff some member of L is a multiple of exp(G).  If
+    none is, copies of an element of order exp(G) are L-free at every
+    length, so the result is certified infinite without searching.  If
+    exp(G) | l for some l in L, any sequence of length |G|(l-1)+1 repeats
+    some element l times, and those l copies sum to 0.  A finite s_L is
+    searched to the configured horizon, and reported unknown if any branch
+    was cut there.  With a stem, the value reported is 1 + the longest
+    L-free extension of the stem.
     """
     cfg = cfg or SearchConfig()
     t0 = time.monotonic()
-    if L.kind == "interval" and L.k < G.exponent:
+    if not L.has_multiple_of(G.exponent):
         return SearchResult(G, L, None, True, True, None, None,
                             SearchStats(0, 0, time.monotonic() - t0))
     horizon = _effective_horizon(G, cfg)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .errors import GroupMismatchError, InvalidInputError, ResourceLimitError
 from .groups import (
@@ -203,6 +204,16 @@ class LengthSet:
             return out
         return (1 << (limit + 1)) - 2 if limit >= 1 else 0
 
+    def has_multiple_of(self, n: int) -> bool:
+        """True iff some member of L is a multiple of n (n >= 1)."""
+        if self.kind == "interval":
+            return self.k >= n
+        if self.kind == "singleton":
+            return self.k % n == 0
+        if self.kind == "explicit":
+            return any(m % n == 0 for m in self.members)
+        return True
+
     def label(self) -> str:
         if self.kind == "interval":
             return f"[1,{self.k}]"
@@ -283,25 +294,39 @@ def has_zero_sum_in(S: Sequence, L: LengthSet) -> bool:
 
 def subsequence_count_table(S: Sequence, mod: int | None = None, max_len: int | None = None):
     """counts[i][l] = number of index subsets of S of size l summing to the
-    element with enumeration index i (exact integers, or mod ``mod``)."""
+    element with enumeration index i (exact integers, or mod ``mod``), for
+    l up to ``max_len`` (default |S|).
+
+    Each element's counts are packed into one int: the count for length l
+    is the field of ``width`` bits at bit l * width.  A count of length l is
+    at most C(|S|, l) < 2^(|S|+1), so width = the bit length of the largest
+    C(|S|, l) with l <= max_len (never more than |S| + 1 bits) holds every
+    count, and no field carries into the next.  A term g then costs one
+    shift, one add and one mask per element s: counts(s) += counts(s - g)
+    << width, with the lengths above max_len masked off.  The fields are
+    unpacked, and reduced mod ``mod``, only at the end.
+    """
+    if max_len is not None and max_len < 0:
+        raise InvalidInputError(f"need max_len >= 0, got {max_len}")
     table = group_table(S.group)
     m = len(table.elements)
     n = S.length
     top = n if max_len is None else min(max_len, n)
     if m * (top + 1) > TABLE_CELL_CAP:
         raise ResourceLimitError(f"count table {m}x{top + 1} exceeds cap")
-    counts = [[0] * (top + 1) for _ in range(m)]
-    counts[0][0] = 1
+    width = comb(n, min(top, n // 2)).bit_length()
+    keep = (1 << width * (top + 1)) - 1  # drops lengths above max_len
+    packed = [0] * m
+    packed[0] = 1  # the empty subsequence
     for g in S.expand():
         row = table.sub_row(table.index[g.coords])
-        prev = [r[:] for r in counts]
-        for s in range(m):
-            src = prev[row[s]]
-            dst = counts[s]
-            for l in range(1, top + 1):
-                v = dst[l] + src[l - 1]
-                dst[l] = v % mod if mod else v
-    return counts
+        packed = [(x + (packed[r] << width)) & keep for x, r in zip(packed, row)]
+    field = (1 << width) - 1
+    shifts = range(0, width * (top + 1), width)
+    if mod:
+        return [[(x >> b & field) % mod for b in shifts] for x in packed]
+    return [[x >> b & field for b in shifts] for x in packed]
+
 
 def count_subseq(S: Sequence, g: GroupElement, k: int, mod: int | None = None) -> int:
     """Number of subsequences of S (as index subsets) of length k with sum g."""

@@ -48,6 +48,10 @@ class TestInvariant:
         proc = run_cli("invariant", "C3", "--leq", "2", check=True)
         assert json.loads(proc.stdout)["value"] == "infinite"
 
+    def test_singleton_off_the_exponent_is_infinite(self):
+        proc = run_cli("invariant", "C3", "--exactly", "2", check=True)
+        assert json.loads(proc.stdout)["value"] == "infinite"
+
     def test_text_format(self):
         proc = run_cli("invariant", "C3^2", "--davenport", "--format", "text", check=True)
         assert "s_N(C3^2) = 5" in proc.stdout

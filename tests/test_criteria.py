@@ -69,21 +69,11 @@ class TestBinomialArithmetic:
         assert not is_prime(0)
 
     def test_is_prime_matches_trial_division(self):
-        def reference(n):  # the former criteria.is_prime body
-            if n < 2:
-                return False
-            if n < 4:
-                return True
-            if n % 2 == 0:
-                return False
-            f = 3
-            while f * f <= n:
-                if n % f == 0:
-                    return False
-                f += 2
-            return True
-
-        assert all(is_prime(n) == reference(n) for n in range(-5, 5000))
+        # The factorization is an independent trial division: it runs to the
+        # end, where is_prime stops at the first divisor.
+        assert all(
+            is_prime(n) == (groups.factorize(n) == {n: 1}) for n in range(-5, 20001)
+        )
         assert zerosum.is_prime is groups.is_prime
 
 
@@ -136,6 +126,66 @@ class TestComputeI0:
             assert compute_i0(T_len, k, p, D) == scan
 
 
+def exact_first_nonzero(T_len, k, p, limit):
+    """From the exact a_i (math.comb, no mod-p arithmetic)."""
+    return next((i for i in range(1, limit + 1) if a_i(T_len, k, i) % p), None)
+
+
+# Primes with a cached Pascal table, and two above PASCAL_TABLE_MAX_P.
+SCAN_PRIMES = (2, 3, 5, 7, 11, 13, 131, 257)
+
+
+class TestScanKernelExact:
+    """The digit-stepping scan against exact integer a_i."""
+
+    def scan_cases(self, p, rng):
+        # Every (T_len, k) with T_len <= 40, then random pairs up to 600.
+        # Limits run past k, where the first term vanishes, and across
+        # several borrows and carries (a few multiples of p).
+        for T_len in range(1, 41):
+            for k in range(1, T_len + 1):
+                yield T_len, k, k + 2 * min(p, 20)
+        for _ in range(300):
+            T_len = rng.randint(1, 600)
+            k = rng.randint(1, T_len)
+            yield T_len, k, rng.randint(0, k + 4 * min(p, 20))
+
+    @pytest.mark.parametrize("p", SCAN_PRIMES)
+    def test_first_nonzero_a_index_matches_exact(self, p):
+        rng = random.Random(p)
+        for T_len, k, limit in self.scan_cases(p, rng):
+            expected = exact_first_nonzero(T_len, k, p, limit)
+            assert first_nonzero_a_index(T_len, k, p, limit) == expected, (T_len, k, limit)
+
+    @pytest.mark.parametrize("p", SCAN_PRIMES)
+    def test_compute_i0_matches_exact(self, p):
+        rng = random.Random(1000 + p)
+        for T_len, k, _ in self.scan_cases(p, rng):
+            if k < 2:
+                continue
+            window = rng.randint(2, 2 * k - 1)  # D = 2k - window in [1, 2k - 2]
+            D = 2 * k - window
+            expected = exact_first_nonzero(T_len, k, p, window)
+            assert compute_i0(T_len, k, p, D) == expected, (T_len, k, D)
+
+    def test_zerosub_guarantee_a_values_match_exact(self):
+        rng = random.Random(5)
+        groups_and_d = [((3, 3), 5), ((2, 2, 2), 4)] + [((p,), p) for p in (2, 3, 5, 7, 11, 13)]
+        for factors, D in groups_and_d:
+            G = make_group(list(factors))
+            p = factors[0]
+            for _ in range(30):
+                # a_values depend on |T| alone, so T is all zeros.  The
+                # window 2k - D spans several borrows and carries.
+                k = rng.randint((D + 3) // 2, D + 40)
+                T_len = rng.randint(2 * k, 2 * k + 3 * p)
+                T = Sequence.from_pairs(G, [(G.zero(), T_len)])
+                report = zerosub_guarantee(T, k, p, D)
+                window = range(1, 2 * k - D + 1)
+                assert report.a_values == tuple((i, a_i(T_len, k, i) % p) for i in window)
+                assert report.i0 == exact_first_nonzero(T_len, k, p, 2 * k - D)
+
+
 class TestDecomposition:
     def test_from_lengths_round_trip(self):
         dec = PDecomposition.from_lengths(25, 9, 5)
@@ -165,6 +215,33 @@ class TestDecomposition:
                 for k in range(1, T_len + 1):
                     dec = PDecomposition.from_lengths(T_len, k, p)
                     assert PDecomposition(**{f: getattr(dec, f) for f in fields}) == dec
+
+    def test_every_valid_digit_tuple_constructs(self):
+        # With T_len >= 2k the other checks already force u1 >= c1: u >= c,
+        # u = u1*p^t + u2 with u2 < p^t and c = c1*p^t.  So every digit
+        # tuple that decomposes (T_len, k) constructs, refined or not.
+        for p in (2, 3, 5, 7):
+            for T_len in range(2, 80):
+                for k in range(1, T_len // 2 + 1):
+                    u, v = divmod(T_len - k, p)
+                    c, d = divmod(k, p)
+                    base = dict(p=p, T_len=T_len, k=k, u=u, v=v, c=c, d=d)
+                    tuples = [base]
+                    t = 0
+                    while p**t <= c:
+                        pt = p**t
+                        for c1 in range(1, p):
+                            if c1 * pt != c:
+                                continue
+                            tuples.append(dict(base, t=t, c1=c1))
+                            for u1 in range(1, p):
+                                for u2 in range(pt):
+                                    if u1 * pt + u2 == u:
+                                        assert u1 >= c1
+                                        tuples.append(dict(base, t=t, c1=c1, u1=u1, u2=u2))
+                        t += 1
+                    for fields in tuples:
+                        PDecomposition(**fields)
 
     @pytest.mark.parametrize("T_len,k", [(5, 0), (4, 5), (3, -1)])
     def test_from_lengths_rejects_bad_lengths(self, T_len, k):

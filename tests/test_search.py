@@ -120,6 +120,18 @@ class TestCertifiedInfinite:
     def test_interval_at_exponent_finite(self):
         assert not eta(make_group([3])).infinite
 
+    @pytest.mark.parametrize("factors,lengths", [([3], [2]), ([4], [2]), ([6], [2, 3])])
+    def test_no_multiple_of_exponent_is_infinite(self, factors, lengths):
+        # Copies of an element of order exp(G) avoid every length in L.
+        result = s_L(make_group(factors), LengthSet.of(lengths))
+        assert result.infinite and result.complete and result.value is None
+        assert result.stats.nodes == 0
+
+    @pytest.mark.parametrize("factors,lengths,value", [([6], [2, 3, 6], 8), ([3, 3], [2, 3], 8)])
+    def test_some_multiple_of_exponent_is_finite(self, factors, lengths, value):
+        result = s_L(make_group(factors), LengthSet.of(lengths))
+        assert not result.infinite and result.complete and result.value == value
+
 
 class TestBudgets:
     def test_node_budget_exhaustion(self):
@@ -190,7 +202,9 @@ class TestStateLayout:
             (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 1603, 2193)),
             (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 1225, 1794)),
             # Singleton beyond the horizon: nothing banned, cut at the horizon.
-            (lambda: s_L(C32, LengthSet.exactly(5), SearchConfig(horizon=3)),
+            # (The length is a multiple of exp = 3, or s_L is certified
+            # infinite before any search.)
+            (lambda: s_L(C32, LengthSet.exactly(6), SearchConfig(horizon=3)),
              (None, "0,0^3", 220, 0)),
             # Stem replay.
             (lambda: s_L(C32, LengthSet.of([3, 4]),

@@ -127,6 +127,14 @@ class TestLengthSet:
         assert L.mask(3) == 0b1110
         assert L.label() == "N"
 
+    def test_has_multiple_of(self):
+        for L in (LengthSet.up_to(5), LengthSet.exactly(6), LengthSet.of([4, 9]),
+                  LengthSet.of([2, 3])):
+            for n in range(1, 12):
+                expected = any(l % n == 0 for l in range(1, 40) if l in L)
+                assert L.has_multiple_of(n) == expected, (L.label(), n)
+        assert LengthSet.all_positive().has_multiple_of(7)
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             LengthSet.up_to(0)
@@ -235,6 +243,37 @@ class TestCountTable:
         short = subsequence_count_table(S, max_len=2)
         assert all(row[:3] == frow[:3] for row, frow in zip(short, full))
         assert len(short[0]) == 3
+
+    def test_field_width_holds_central_binomials(self):
+        # 24 zero terms: the count of length l is C(24, l), which peaks at
+        # C(24, 12); a field too narrow for it would carry into the next.
+        C2 = make_group([2])
+        S = Sequence.from_pairs(C2, [(C2.zero(), 24)])
+        counts = subsequence_count_table(S)
+        assert counts[0] == [math.comb(24, l) for l in range(25)]
+        assert counts[1] == [0] * 25
+        assert subsequence_count_table(S, mod=5)[0] == [math.comb(24, l) % 5 for l in range(25)]
+        assert subsequence_count_table(S, max_len=12)[0] == [math.comb(24, l) for l in range(13)]
+
+    def test_counts_match_brute_exact_mod_and_truncated(self):
+        rng = random.Random(25)
+        for G in (C32, C23, C24, make_group([5])):
+            tab = group_table(G)
+            for _ in range(6):
+                n = rng.randrange(0, 9)
+                S = random_sequence(G, n, rng)
+                brute = self.brute_counts(S)
+                for mod in (None, 2, 3):
+                    for max_len in (None, 0, 2, n + 3):
+                        top = n if max_len is None else min(max_len, n)
+                        counts = subsequence_count_table(S, mod=mod, max_len=max_len)
+                        for idx, c in enumerate(tab.elements):
+                            expected = [x % mod if mod else x for x in brute[c][: top + 1]]
+                            assert counts[idx] == expected, (G, S.format(), mod, max_len)
+
+    def test_negative_max_len_rejected(self):
+        with pytest.raises(InvalidInputError):
+            subsequence_count_table(Sequence.empty(C32), max_len=-1)
 
     def test_count_subseq(self):
         S = Sequence.parse(C32, "1,0^3; 0,1^3")
