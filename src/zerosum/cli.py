@@ -7,6 +7,12 @@ sequence), ``theorems`` (evaluate theorem hypotheses for a group),
 ``conjectures`` (the k_G harness) and ``sweep`` (the cross-validation
 sweeps).  Exit codes: 0 complete, 1 usage or input error, 2 search budget
 exhausted, 3 internal failure (including sweep violations).
+
+Each subcommand parses its flags, calls the library and formats what it
+returns.  The budget flags go straight into ``SearchConfig``, which checks
+them and whose defaults they share; ``s_L`` decides how ``--workers`` splits
+the tree, ``thm_1_10_claims`` which Theorem 1.10 cases a group matches, and
+the result dataclasses which fields a row has.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import io
 import json
 import sys
 import traceback
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .constructions import (
@@ -29,16 +36,17 @@ from .constructions import (
 )
 from .criteria import zerosub_guarantee
 from .errors import ResourceLimitError, ZeroSumError
-from .groups import GroupSpec, is_prime, parse_group
+from .groups import GroupSpec, parse_group
 from .search import SearchConfig, SearchResult, s_L
 from .sequences import LengthSet, Sequence
 from .theorems import (
+    ConjectureRow,
     TheoremClaim,
     check_thm_1_8,
     check_thm_1_9,
-    check_thm_1_10,
     conjecture_harness,
     davenport_value,
+    thm_1_10_claims,
 )
 from .sweeps import run_all_sweeps
 
@@ -70,22 +78,18 @@ def _csv_text(header, rows) -> str:
 
 
 def _search_config(args) -> SearchConfig:
-    workers = getattr(args, "workers", 1)
-    depth = getattr(args, "parallel_depth", 0)
-    if workers > 1 and depth == 0:
-        depth = 2
     return SearchConfig(
-        node_budget=getattr(args, "budget_nodes", None) or SearchConfig().node_budget,
-        time_budget=getattr(args, "budget_seconds", None),
-        symmetry_reduction=getattr(args, "symmetry", False),
-        parallel_depth=depth,
-        workers=workers,
-        horizon=getattr(args, "horizon", None),
+        node_budget=args.budget_nodes,
+        time_budget=args.budget_seconds,
+        symmetry_reduction=args.symmetry,
+        parallel_depth=args.parallel_depth,
+        workers=args.workers,
+        horizon=args.horizon,
     )
 
 
 def _add_budget_flags(sub) -> None:
-    sub.add_argument("--budget-nodes", type=int, default=None, metavar="N")
+    sub.add_argument("--budget-nodes", type=int, default=SearchConfig.node_budget, metavar="N")
     sub.add_argument("--budget-seconds", type=float, default=None, metavar="S")
     sub.add_argument("--workers", type=int, default=1, metavar="W")
     sub.add_argument("--parallel-depth", type=int, default=0, metavar="P")
@@ -109,16 +113,10 @@ def _read_sequence(G: GroupSpec, args) -> Sequence:
 
 
 def _invariant_payload(result: SearchResult) -> dict:
-    if result.infinite:
-        value = "infinite"
-    elif result.value is not None:
-        value = result.value
-    else:
-        value = "unknown"
     return {
         "group": str(result.group),
         "L": result.L.label(),
-        "value": value,
+        "value": result.value if result.value is not None else result.value_label(),
         "witness": result.witness.format() if result.witness is not None else None,
         "nodes": result.stats.nodes,
         "seconds": result.stats.seconds,
@@ -238,29 +236,13 @@ def _claim_payload(claim: TheoremClaim) -> dict:
     }
 
 
-def _matching_1_10_cases(G: GroupSpec):
-    if G.rank < 2 or not G.is_homocyclic() or not is_prime(G.exponent):
-        return
-    p, r = G.exponent, G.rank
-    if p == 2:
-        t = (r + 2).bit_length() - 2
-        if t >= 1 and 2 ** (t + 1) == r + 2:
-            yield ("i", {"t": t})
-    if p >= 5 and r == 4:
-        yield ("ii", {"p": p})
-    D = r * (p - 1) + 1
-    if p <= (r - 1) * p <= D:
-        yield ("iii", {"p": p, "d": r})
-
-
 def cmd_theorems(args) -> int:
     G = parse_group(args.group)
     cfg = _search_config(args)
     claims = [check_thm_1_8(G, cfg, data_path=args.data)]
     if args.k is not None:
-        claims.append(check_thm_1_9(G, args.k, data_path=args.data))
-    for case, params in _matching_1_10_cases(G):
-        claims.append(check_thm_1_10(case, **params))
+        claims.append(check_thm_1_9(G, args.k))
+    claims.extend(thm_1_10_claims(G))
     payload = [_claim_payload(c) for c in claims]
     if args.format == "text":
         lines = []
@@ -279,18 +261,7 @@ def cmd_conjectures(args) -> int:
     G = parse_group(args.group)
     cfg = _search_config(args)
     report = conjecture_harness(G, source=args.source, cfg=cfg, data_path=args.data)
-    rows = [
-        {
-            "j": r.j,
-            "m": r.m,
-            "value": r.value,
-            "is_lower_bound": r.is_lower_bound,
-            "bound": r.bound,
-            "holds": r.holds,
-            "source": r.source,
-        }
-        for r in report.rows
-    ]
+    rows = [asdict(r) for r in report.rows]
     payload = {
         "group": str(G),
         "source": report.source,
@@ -299,26 +270,11 @@ def cmd_conjectures(args) -> int:
         "k_G": report.k_g if report.k_g is not None else "unknown",
         "conjecture_k_half": report.conjecture_k_half,
         "monotone_consistent": report.monotone_consistent,
-        "s_kexp": [
-            {
-                "k": r.k,
-                "kexp": r.kexp,
-                "value": r.value,
-                "threshold": r.threshold,
-                "region": r.region,
-                "relation": r.relation,
-                "consistent": r.consistent,
-                "source": r.source,
-            }
-            for r in report.kexp_rows
-        ],
+        "s_kexp": [asdict(r) for r in report.kexp_rows],
     }
     if args.format == "csv":
-        text = _csv_text(
-            ("j", "m", "value", "is_lower_bound", "bound", "holds", "source"),
-            [(r["j"], r["m"], r["value"], r["is_lower_bound"], r["bound"], r["holds"], r["source"]) for r in rows],
-        )
-        _emit(text, args.out)
+        _emit(_csv_text([f.name for f in fields(ConjectureRow)], [r.values() for r in rows]),
+              args.out)
     elif args.format == "text":
         lines = [f"{G}: D = {report.d_value} ({report.d_source}), source = {report.source}"]
         for r in report.rows:

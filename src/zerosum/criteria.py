@@ -231,9 +231,7 @@ class PDecomposition:
 
     @classmethod
     def from_lengths(cls, T_len: int, k: int, p: int) -> "PDecomposition":
-        _require_prime(p)
-        if k < 1 or T_len < k:
-            raise InvalidInputError("need 1 <= k <= T_len")
+        _require_prime(p)  # before the loop below, which needs p >= 2
         u, v = divmod(T_len - k, p)
         c, d = divmod(k, p)
         t = c1 = u1 = u2 = None
@@ -248,12 +246,7 @@ class PDecomposition:
                 hi, lo = divmod(u, p**t_try)
                 if 1 <= hi <= p - 1:
                     u1, u2 = hi, lo
-        # These digits meet every check of __post_init__ by construction, so
-        # it is not run again.
-        dec = object.__new__(cls)
-        dec.__dict__.update(p=p, T_len=T_len, k=k, u=u, v=v, c=c, d=d,
-                            t=t, c1=c1, u1=u1, u2=u2)
-        return dec
+        return cls(p, T_len, k, u, v, c, d, t, c1, u1, u2)
 
     @property
     def has_refined_shape(self) -> bool:
@@ -318,19 +311,17 @@ def check_4_8(dec: PDecomposition) -> bool:
     return dec.u1 + dec.c1 + 1 < dec.p
 
 
-def check_4_9(p: int, T_len: int, k: int) -> bool:
+def check_4_9(dec: PDecomposition) -> bool:
     """Sufficient test for i0 = 2 in the k = 1 mod p^t shape (t >= 1):
     with k = c1*p^t + 1 and T_len - k = u1*p^t + v1, the test is
     C(u1, c1-1) + C(u1+1, c1) nonzero mod p.  Valid for p = 2 as well.
-    The shape is d = 1 with the refined digit shape of PDecomposition."""
-    if k < 2 or T_len < k:
-        _require_prime(p)  # a bad p is reported before a bad k
-        raise InvalidInputError("need 2 <= k <= T_len")
-    dec = PDecomposition.from_lengths(T_len, k, p)
+    The shape is d = 1 with the refined digit shape."""
     if dec.d != 1:
-        raise InvalidInputError(f"need k = 1 mod p, got k = {k}")
+        raise InvalidInputError(f"need k = 1 mod p, got k = {dec.k}")
     if not dec.has_refined_shape:
-        raise InvalidInputError(f"need c1 and u1 in [1, p-1], got k = {k}, T_len = {T_len}")
+        raise InvalidInputError(
+            f"need c1 and u1 in [1, p-1], got k = {dec.k}, T_len = {dec.T_len}")
+    p = dec.p
     return (_binom(dec.u1, dec.c1 - 1, p) + _binom(dec.u1 + 1, dec.c1, p)) % p != 0
 
 
@@ -405,7 +396,7 @@ def zerosub_guarantee(T: Sequence, k: int, p: int, D: int) -> CriterionReport:
     refined = dec.has_refined_shape
     l4_7 = check_4_7(dec) if refined else None
     c4_8 = check_4_8(dec) if refined else None
-    l4_9 = check_4_9(p, T_len, k) if refined and dec.d == 1 else None
+    l4_9 = check_4_9(dec) if refined and dec.d == 1 else None
     return CriterionReport(
         p=p,
         T_len=T_len,

@@ -63,7 +63,9 @@ class SearchConfig:
     witness) and restricts the first term to Aut(G)-orbit minima on every
     other group (same value and witness).  ``stem`` restricts the search to
     canonical sequences extending the given multiset (symmetry reduction is
-    disabled then).
+    disabled then).  A positive ``parallel_depth`` splits the tree into
+    subtasks at that depth; ``workers`` > 1 runs them in a process pool and,
+    with ``parallel_depth`` 0, splits at depth 2.
     """
 
     node_budget: int = _DEFAULT_NODE_BUDGET
@@ -360,8 +362,9 @@ def _search_below(G, L, horizon, node_budget, deadline, symmetry, prefix):
             search.stopped, search.hit_horizon)
 
 
-def _run_partitioned(G, L, cfg, horizon, symmetry):
-    """Split the DFS tree at a fixed depth into independent subtasks.
+def _run_partitioned(G, L, cfg, depth, horizon, symmetry):
+    """Split the DFS tree at ``depth`` below the stem into independent
+    subtasks.
 
     Outcomes merge in tree order, so ties keep the serial witness, and the
     subtasks share the node budget as if run one after another: a pool
@@ -371,7 +374,7 @@ def _run_partitioned(G, L, cfg, horizon, symmetry):
     deadline = _deadline(cfg)
     prefix = _stem_indices(G, cfg.stem)
     split = _Search(G, L, horizon, cfg.node_budget, deadline, symmetry, prefix)
-    split.run(min(len(prefix) + cfg.parallel_depth, horizon), collect=True)
+    split.run(min(len(prefix) + depth, horizon), collect=True)
     best, best_stack = split.best, split.best_stack
     nodes, pruned = split.nodes, split.pruned
     stopped, hit_horizon = split.stopped, split.hit_horizon
@@ -430,8 +433,11 @@ def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchRe
     horizon = _effective_horizon(G, cfg)
     symmetry = _symmetry_applicable(G, cfg)
 
-    if cfg.parallel_depth > 0:
-        outcome = _run_partitioned(G, L, cfg, horizon, symmetry)
+    # Several workers need subtasks to share out: split at depth 2 unless
+    # the config names a depth.
+    depth = cfg.parallel_depth or (2 if cfg.workers > 1 else 0)
+    if depth > 0:
+        outcome = _run_partitioned(G, L, cfg, depth, horizon, symmetry)
     else:
         outcome = _search_below(G, L, horizon, cfg.node_budget, _deadline(cfg), symmetry,
                                 _stem_indices(G, cfg.stem))

@@ -152,7 +152,7 @@ def _check_i0_tuple(rec, label, dec: PDecomposition) -> None:
         if check_4_8(dec) and not flag7:
             rec.violation(f"{label}: check_4_8 true but check_4_7 false")
     try:
-        flag9 = check_4_9(p, T_len, k)
+        flag9 = check_4_9(dec)
     except InvalidInputError:
         flag9 = None
     if flag9 and i0 != 2:

@@ -133,7 +133,7 @@ def check_lemma_5_1(G: GroupSpec, k: int, S: Sequence, data_path=None) -> bool:
     return binom_mod_p(D, k - 1, p) != 0
 
 
-def check_thm_1_9(G: GroupSpec, k: int, data_path=None) -> TheoremClaim:
+def check_thm_1_9(G: GroupSpec, k: int) -> TheoremClaim:
     """Bound s_leq(G, k-1) <= 2D-k+1 for p-groups via the congruence
     criterion.  The digit shape k = c1 * p^(t+1) + d with c1 in [1, p-1] and
     d in [0, p-1] must exist; the window hypothesis involving v is taken in
@@ -233,6 +233,24 @@ def check_thm_1_10(case: str, **params) -> TheoremClaim:
         conditional_on_d_star=False,
         verifiable_at_desk=G.order <= DESK_ORDER_CAP,
     )
+
+
+def thm_1_10_claims(G: GroupSpec) -> list[TheoremClaim]:
+    """The check_thm_1_10 claims whose case shape G has, in case order:
+    the inverse of that function's shape rules."""
+    if G.rank < 2 or not G.is_homocyclic() or not is_prime(G.exponent):
+        return []
+    p, r = G.exponent, G.rank
+    claims = []
+    if p == 2:
+        t = (r + 2).bit_length() - 2
+        if t >= 1 and 2 ** (t + 1) == r + 2:
+            claims.append(check_thm_1_10("i", t=t))
+    if p >= 5 and r == 4:
+        claims.append(check_thm_1_10("ii", p=p))
+    if p <= (r - 1) * p <= d_star(G):
+        claims.append(check_thm_1_10("iii", p=p, d=r))
+    return claims
 
 
 @dataclass(frozen=True)

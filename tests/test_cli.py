@@ -84,6 +84,15 @@ class TestInvariant:
         proc = run_cli("invariant", "spam", "--davenport")
         assert proc.returncode == 1
 
+    def test_zero_node_budget_exit_1(self):
+        # --budget-nodes defaults to SearchConfig's budget, so 0 reaches
+        # its check like any other non-positive value.
+        for budget in ("0", "-5"):
+            proc = run_cli("invariant", "C3^2", "--davenport", "--budget-nodes", budget)
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert "node_budget must be positive" in proc.stderr
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "result.json"
         run_cli("invariant", "C2^2", "--leq", "2", "--out", str(out), check=True)
@@ -213,7 +222,22 @@ class TestTheorems:
         assert "thm_1_8 on C3^3: claims s_leq(5) <= 9" in proc.stdout
 
 
+ROW_KEYS = ["j", "m", "value", "is_lower_bound", "bound", "holds", "source"]
+KEXP_KEYS = ["k", "kexp", "value", "threshold", "region", "relation", "consistent", "source"]
+
+
 class TestConjectures:
+    @pytest.mark.parametrize("args", [("C3^3", "--symmetry"), ("C2^7", "--source", "bundled")])
+    def test_field_orders(self, args):
+        payload = json.loads(run_cli("conjectures", *args, check=True).stdout)
+        assert payload["rows"] and payload["s_kexp"]
+        assert all(list(row) == ROW_KEYS for row in payload["rows"])
+        assert all(list(row) == KEXP_KEYS for row in payload["s_kexp"])
+        text = run_cli("conjectures", *args, "--format", "csv", check=True).stdout
+        lines = text.splitlines()
+        assert lines[0] == ",".join(ROW_KEYS)
+        assert len(lines) == 1 + len(payload["rows"])
+
     def test_bundled_c53_json(self):
         proc = run_cli("conjectures", "C5^3", "--source", "bundled", check=True)
         payload = json.loads(proc.stdout)

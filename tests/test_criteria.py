@@ -207,8 +207,8 @@ class TestDecomposition:
             PDecomposition.from_lengths(11, 5, 4)
 
     def test_from_lengths_passes_every_direct_check(self):
-        # from_lengths skips __post_init__; a direct construction from the
-        # same fields runs every check and must accept and equal it.
+        # A direct construction from the fields from_lengths reads must
+        # accept them and equal it.
         fields = ("p", "T_len", "k", "u", "v", "c", "d", "t", "c1", "u1", "u2")
         for p in (2, 3, 5, 7):
             for T_len in range(1, 80):
@@ -330,10 +330,10 @@ class TestSufficientFlags:
         assert hits > 0
 
     def test_check_4_9(self):
-        assert check_4_9(3, 14, 7)
-        assert check_4_9(2, 6, 3)
+        assert check_4_9(PDecomposition.from_lengths(14, 7, 3))
+        assert check_4_9(PDecomposition.from_lengths(6, 3, 2))
         # a false case: flag congruent to zero
-        assert not check_4_9(3, 8, 4)
+        assert not check_4_9(PDecomposition.from_lengths(8, 4, 3))
 
     def test_check_4_9_predicts_i0_two(self):
         cases = 0
@@ -341,7 +341,7 @@ class TestSufficientFlags:
             for T_len in range(6, 40):
                 for k in range(3, T_len // 2 + 1):
                     try:
-                        ok = check_4_9(p, T_len, k)
+                        ok = check_4_9(PDecomposition.from_lengths(T_len, k, p))
                     except InvalidInputError:
                         continue
                     if ok:
@@ -351,15 +351,16 @@ class TestSufficientFlags:
 
     def test_check_4_9_shape_validation(self):
         with pytest.raises(InvalidInputError):
-            check_4_9(3, 14, 4)  # k-1 = 3 has t = 1 but v_p alignment fails on u1
+            # k-1 = 3 has t = 1 but v_p alignment fails on u1
+            check_4_9(PDecomposition.from_lengths(14, 4, 3))
         with pytest.raises(InvalidInputError):
-            check_4_9(3, 10, 3)  # t = v_3(2) = 0 < 1
+            check_4_9(PDecomposition.from_lengths(10, 3, 3))  # t = v_3(2) = 0 < 1
         with pytest.raises(InvalidInputError, match="k = 1 mod p"):
-            check_4_9(3, 10, 3)
+            check_4_9(PDecomposition.from_lengths(10, 3, 3))
         with pytest.raises(InvalidInputError, match="c1 and u1"):
-            check_4_9(3, 14, 4)
+            check_4_9(PDecomposition.from_lengths(14, 4, 3))
         with pytest.raises(InvalidInputError, match="not prime"):
-            check_4_9(4, 1, 1)
+            check_4_9(PDecomposition.from_lengths(1, 1, 4))
 
     def test_check_4_9_matches_own_digit_loop(self):
         def reference(p, T_len, k):  # the former check_4_9 body
@@ -386,11 +387,14 @@ class TestSufficientFlags:
             except InvalidInputError:
                 return "raises"
 
+        def current(p, T_len, k):
+            return check_4_9(PDecomposition.from_lengths(T_len, k, p))
+
         inputs = [(p, T_len, k) for p in (2, 3, 5, 7) for T_len in range(150)
                   for k in range(-1, T_len + 2)]
-        diffs = [args for args in inputs if outcome(check_4_9, *args) != outcome(reference, *args)]
+        diffs = [args for args in inputs if outcome(current, *args) != outcome(reference, *args)]
         assert not diffs
-        assert sum(outcome(check_4_9, *args) is True for args in inputs) > 100
+        assert sum(outcome(current, *args) is True for args in inputs) > 100
 
 
 class TestRowTransform:
@@ -456,7 +460,7 @@ class TestZerosubGuarantee:
                 T = Sequence.from_pairs(G, [(G.zero(), T_len)])
                 for k in range(2, T_len // 2 + 1):
                     try:
-                        expected = check_4_9(p, T_len, k)
+                        expected = check_4_9(PDecomposition.from_lengths(T_len, k, p))
                     except InvalidInputError:
                         expected = None
                     assert zerosub_guarantee(T, k, p, 2).l4_9 == expected

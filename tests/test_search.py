@@ -164,6 +164,16 @@ class TestBudgets:
             assert result.stats.nodes == 50_000
         assert (one.witness, one.stats.pruned) == (two.witness, two.stats.pruned)
 
+    def test_workers_alone_split_at_depth_two(self):
+        # workers > 1 with no parallel_depth splits at depth 2, the same
+        # tree as parallel_depth=2, whether s_L is called from the CLI or not.
+        C333 = make_group([3, 3, 3])
+        pooled = s_leq(C333, 4, SearchConfig(workers=2))
+        split = s_leq(C333, 4, SearchConfig(parallel_depth=2))
+        assert pooled.value == split.value == 10
+        assert pooled.witness == split.witness
+        assert pooled.stats.nodes == split.stats.nodes == 422_215
+
     def test_partition_phase_cut_spends_only_the_budget(self):
         result = s_leq(make_group([3, 3, 3]), 4, SearchConfig(node_budget=30, parallel_depth=2))
         assert not result.complete

@@ -24,6 +24,8 @@ from zerosum import (
     s_leq,
     sigma,
 )
+from zerosum.groups import is_prime
+from zerosum.theorems import thm_1_10_claims
 
 C32 = make_group([3, 3])
 C33 = make_group([3, 3, 3])
@@ -240,6 +242,33 @@ class TestTheorem110:
             check_thm_1_10("iv")
         with pytest.raises(InvalidInputError):
             check_thm_1_10("i", t=1, p=3)
+
+
+    def test_claims_match_case_rules(self):
+        def reference(G):  # the case matcher the CLI used to carry
+            if G.rank < 2 or not G.is_homocyclic() or not is_prime(G.exponent):
+                return
+            p, r = G.exponent, G.rank
+            if p == 2:
+                t = (r + 2).bit_length() - 2
+                if t >= 1 and 2 ** (t + 1) == r + 2:
+                    yield ("i", {"t": t})
+            if p >= 5 and r == 4:
+                yield ("ii", {"p": p})
+            D = r * (p - 1) + 1
+            if p <= (r - 1) * p <= D:
+                yield ("iii", {"p": p, "d": r})
+
+        matched = 0
+        for n in (2, 3, 4, 5, 6, 7, 11, 13):
+            for r in range(1, 13):
+                G = make_group([n] * r)
+                claims = thm_1_10_claims(G)
+                assert claims == [check_thm_1_10(case, **params) for case, params in reference(G)]
+                assert all(claim.group == G for claim in claims)
+                matched += len(claims)
+        assert matched == 45
+        assert thm_1_10_claims(make_group([2, 4])) == []
 
 
 class TestLemma36Property:
