@@ -37,7 +37,7 @@ from .constructions import (
 from .criteria import zerosub_guarantee
 from .errors import ResourceLimitError, ZeroSumError
 from .groups import GroupSpec, parse_group
-from .search import SearchConfig, SearchResult, s_L
+from .search import SearchConfig, SearchResult, davenport, eta, s_egz, s_L, s_leq
 from .sequences import LengthSet, Sequence
 from .theorems import (
     ConjectureRow,
@@ -129,19 +129,19 @@ def cmd_invariant(args) -> int:
     picked = [name for name in ("leq", "exactly", "davenport", "eta", "egz", "L") if getattr(args, name) is not None and getattr(args, name) is not False]
     if len(picked) != 1:
         args.parser.error("choose exactly one of --leq/--exactly/--davenport/--eta/--egz/--L")
+    cfg = _search_config(args)
     if args.leq is not None:
-        L = LengthSet.up_to(args.leq)
+        result = s_leq(G, args.leq, cfg)
     elif args.exactly is not None:
-        L = LengthSet.exactly(args.exactly)
+        result = s_L(G, LengthSet.exactly(args.exactly), cfg)
     elif args.davenport:
-        L = LengthSet.all_positive()
+        result = davenport(G, cfg)
     elif args.eta:
-        L = LengthSet.up_to(G.exponent)
+        result = eta(G, cfg)
     elif args.egz:
-        L = LengthSet.exactly(G.exponent)
+        result = s_egz(G, cfg)
     else:
-        L = LengthSet.of(int(x) for x in args.L.split(","))
-    result = s_L(G, L, _search_config(args))
+        result = s_L(G, LengthSet.of(int(x) for x in args.L.split(",")), cfg)
     payload = _invariant_payload(result)
     if args.format == "text":
         lines = [f"s_{result.L.label()}({result.group}) = {result.value_label()}"]

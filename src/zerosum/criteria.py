@@ -231,7 +231,8 @@ class PDecomposition:
 
     @classmethod
     def from_lengths(cls, T_len: int, k: int, p: int) -> "PDecomposition":
-        _require_prime(p)  # before the loop below, which needs p >= 2
+        if p < 2:  # the loop below needs p >= 2; __post_init__ checks primality
+            raise InvalidInputError(f"p = {p} is not prime")
         u, v = divmod(T_len - k, p)
         c, d = divmod(k, p)
         t = c1 = u1 = u2 = None

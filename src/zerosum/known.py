@@ -15,7 +15,7 @@ from math import ceil
 from pathlib import Path
 
 from .errors import InvalidInputError
-from .groups import GroupSpec, d_equals_dstar_known, d_star, factorize, parse_group
+from .groups import GroupSpec, d_equals_dstar_known, d_star, parse_group
 
 INVARIANTS = ("s_leq", "s_kexp", "davenport")
 
@@ -89,17 +89,6 @@ def _bundled_lookup(G: GroupSpec, invariant: str, param, path) -> KnownValue | N
     return None
 
 
-def _is_homocyclic_prime_power(G: GroupSpec) -> tuple[int, int] | None:
-    """(p, n) when G = C_{p^n}^r for a single prime p, else None."""
-    if G.rank == 0 or not G.is_homocyclic():
-        return None
-    factored = factorize(G.exponent)
-    if len(factored) != 1:
-        return None
-    ((p, n),) = factored.items()
-    return p, n
-
-
 def known_davenport(G: GroupSpec, path: str | Path | None = None) -> KnownValue | None:
     """The exact zero-sum constant D(G) when it is known: a bundled row,
     or D*(G) for the group families where equality is a theorem."""
@@ -136,11 +125,10 @@ def known_s_leq(G: GroupSpec, k: int, path: str | Path | None = None) -> KnownVa
         D = d_star(G)  # exact: rank <= 2
         if G.exponent <= k <= D:
             return KnownValue(value=2 * D - k, source="WZ17")
-    pp = _is_homocyclic_prime_power(G)
-    if pp is not None:
-        p, n = pp
+    p = G.p_group_prime() if G.is_homocyclic() else None
+    if p is not None:
         D = d_star(G)  # exact: p-group
-        if n == 1 and 3 <= r < p and k == D - 2:
+        if G.exponent == p and 3 <= r < p and k == D - 2:
             return KnownValue(value=D + 1, source="Z23")
         if p != 2 and r == 3 and k == D - G.exponent:
             return KnownValue(value=D + G.exponent, source="Z23")

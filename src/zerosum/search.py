@@ -9,16 +9,17 @@ taking subsequences, so the L-free sequences form a prefix tree of canonical
 Pruning is a subset-sum dynamic program over (group element, subsequence
 length) pairs, packed into one Python int.  A subset of G is an |G|-bit int
 indexed in group-table order, and the state holds T such rows: row l is the
-negated set {-s} of the sums s of the length-l subsequences, with exactly l
-terms when L is a singleton or an explicit set and at most l terms when L is
-an interval [1, k] below the horizon.  L = N, and an interval reaching the
-horizon, need only one self-closed row holding every subsequence sum.
-Appending g can only create zero-sum subsequences through the new copy, so g
-is banned iff -g is the sum of a subsequence of length l-1 for some l in L:
-the banned candidates are the OR of rows l-1, and the DFS walks the other
-bits in ascending order.  Appending g translates the rows by -g, one masked
-rotation per nonzero coordinate of g, and ORs the result one row up (into
-the same row when it is self-closed).
+negated set {-s} of the sums s of the subsequences with l terms.  Only the
+members of L up to the horizon matter, read from ``L.mask(horizon)``.  When
+they form an interval [1, k] (for L = [1, k], N or {1, ..., k}), row l
+counts subsequences of at most l terms, and once k reaches the horizon one
+self-closed row holding every subsequence sum serves.  Any other L counts
+exactly l terms in row l.  Appending g can only create zero-sum subsequences
+through the new copy, so g is banned iff -g is the sum of a subsequence of
+length l-1 for some l in L: the banned candidates are the OR of rows l-1,
+and the DFS walks the other bits in ascending order.  Appending g translates
+the rows by -g, one masked rotation per nonzero coordinate of g, and ORs the
+result one row up (into the same row when it is self-closed).
 
 One iterative DFS serves every caller: it maximizes the length, and can
 also collect every sequence of a fixed length (for partitioning the tree
@@ -125,14 +126,16 @@ def _layout(L: LengthSet, horizon: int) -> tuple[int, bool, bool, tuple[int, ...
     """(rows, self-closed, at most l terms in row l, banned rows) of the
     packed state for L.
 
-    Candidates are tested at lengths below the horizon, so only members of L
-    up to the horizon matter; the top row is always banned when any is.
+    Candidates are tested at lengths below the horizon, so only the members
+    of L up to the horizon matter, and the layout reads just their mask.
+    When they form an interval [1, k], row k-1 with at most k-1 terms bans
+    what rows 0..k-1 with exactly l terms would; for k >= horizon one
+    self-closed row does.  The top row is always banned when any is.
     """
-    if L.kind == "all" or (L.kind == "interval" and L.k >= horizon):
-        return 1, True, True, (0,)
-    if L.kind == "interval":
-        return L.k, False, True, (L.k - 1,)
     mask = L.mask(horizon)
+    if mask and not mask & (mask + 2):  # mask = [1, k]
+        k = mask.bit_length() - 1
+        return (1, True, True, (0,)) if k >= horizon else (k, False, True, (k - 1,))
     banned = tuple(l - 1 for l in range(1, horizon + 1) if mask >> l & 1)
     return (banned[-1] + 1 if banned else 0), False, False, banned
 
@@ -183,7 +186,8 @@ class _Search:
         self.horizon = horizon
         self.node_budget = node_budget
         self.deadline = deadline
-        rows, closed, at_most, banned = _layout(L, horizon)
+        # The stem is checked at its own length, which may exceed the horizon.
+        rows, closed, at_most, banned = _layout(L, max(horizon, len(prefix)))
         self.rows = rows
         self.full = (1 << rows * m) - 1
         self.step = 0 if closed else m

@@ -141,8 +141,8 @@ class Sequence:
 class LengthSet:
     """A set L of allowed zero-sum lengths.
 
-    Kinds: ``interval`` = [1, k], ``singleton`` = {m}, ``explicit`` = a finite
-    set, ``all`` = every positive length.
+    Kinds: ``interval`` = [1, k], ``explicit`` = a finite set (``exactly(m)``
+    is ``of((m,))``) and ``all`` = every positive length.
     """
 
     kind: str
@@ -153,9 +153,6 @@ class LengthSet:
         if self.kind == "interval":
             if self.k is None or self.k < 1:
                 raise InvalidInputError("interval bound must be >= 1")
-        elif self.kind == "singleton":
-            if self.k is None or self.k < 1:
-                raise InvalidInputError("singleton length must be >= 1")
         elif self.kind == "explicit":
             if not self.members or min(self.members) < 1:
                 raise InvalidInputError("explicit length set must be nonempty, entries >= 1")
@@ -168,7 +165,7 @@ class LengthSet:
 
     @classmethod
     def exactly(cls, m: int) -> "LengthSet":
-        return cls("singleton", k=m)
+        return cls.of((m,))
 
     @classmethod
     def of(cls, lengths) -> "LengthSet":
@@ -183,8 +180,6 @@ class LengthSet:
             return False
         if self.kind == "interval":
             return length <= self.k
-        if self.kind == "singleton":
-            return length == self.k
         if self.kind == "explicit":
             return length in self.members
         return True
@@ -194,8 +189,6 @@ class LengthSet:
         if self.kind == "interval":
             top = min(self.k, limit)
             return (1 << (top + 1)) - 2 if top >= 1 else 0
-        if self.kind == "singleton":
-            return 1 << self.k if self.k <= limit else 0
         if self.kind == "explicit":
             out = 0
             for m in self.members:
@@ -208,8 +201,6 @@ class LengthSet:
         """True iff some member of L is a multiple of n (n >= 1)."""
         if self.kind == "interval":
             return self.k >= n
-        if self.kind == "singleton":
-            return self.k % n == 0
         if self.kind == "explicit":
             return any(m % n == 0 for m in self.members)
         return True
@@ -217,8 +208,6 @@ class LengthSet:
     def label(self) -> str:
         if self.kind == "interval":
             return f"[1,{self.k}]"
-        if self.kind == "singleton":
-            return f"{{{self.k}}}"
         if self.kind == "explicit":
             return "{" + ",".join(str(m) for m in sorted(self.members)) + "}"
         return "N"

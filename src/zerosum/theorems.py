@@ -180,77 +180,64 @@ def check_thm_1_9(G: GroupSpec, k: int) -> TheoremClaim:
     )
 
 
+def thm_1_10_claims(G: GroupSpec) -> list[TheoremClaim]:
+    """The three resolved instances of the congruence bound whose case shape
+    G has, in case order.  On G = C_p^r with D = D*(G), exact for p-groups:
+    (i) p = 2 and r = 2^(t+1)-2 for some t >= 1, with k-1 = (r+2)/2;
+    (ii) p >= 5 and r = 4, with k-1 = 2p;
+    (iii) k-1 = (r-1)p in [p, D].
+    Each claims s_leq(G, k-1) <= 2D-k+1."""
+    if not G.is_homocyclic() or not is_prime(G.exponent):
+        return []
+    p, r = G.exponent, G.rank
+    D = d_star(G)  # exact: p-group
+    shapes = (  # (case, whether G has its shape, k-1)
+        ("i", p == 2 and (r + 2) & (r + 1) == 0, (r + 2) // 2),
+        ("ii", p >= 5 and r == 4, 2 * p),
+        ("iii", p <= (r - 1) * p <= D, (r - 1) * p),
+    )
+    return [
+        TheoremClaim(
+            theorem=f"thm_1_10({case})",
+            group=G,
+            k=k1,
+            hypotheses=((f"case {case} shape", True),),
+            claimed_bound=2 * D - k1,
+            d_value=D,
+            d_source="D=D* family",
+            conditional_on_d_star=False,
+            verifiable_at_desk=G.order <= DESK_ORDER_CAP,
+        )
+        for case, fits, k1 in shapes
+        if fits
+    ]
+
+
 def check_thm_1_10(case: str, **params) -> TheoremClaim:
-    """The three resolved instances of the congruence bound, by case:
-    (i) G = C_2^r with r = 2^(t+1)-2 and k-1 = (r+2)/2;
-    (ii) G = C_p^4 with p >= 5 and k-1 = 2p;
-    (iii) G = C_p^d with k-1 = (d-1)p in [p, D].
-    Parameters: case i takes t; case ii takes p; case iii takes p and d."""
-    if case == "i":
-        expected = {"t"}
-    elif case == "ii":
-        expected = {"p"}
-    elif case == "iii":
-        expected = {"p", "d"}
-    else:
+    """The ``thm_1_10_claims`` claim of one case, on the group its
+    parameters name: case i takes t >= 1 (G = C_2^(2^(t+1)-2)), case ii a
+    prime p (G = C_p^4), case iii a prime p and d >= 1 (G = C_p^d).  A
+    group without the case's shape raises."""
+    expected = {"i": {"t"}, "ii": {"p"}, "iii": {"p", "d"}}.get(case)
+    if expected is None:
         raise InvalidInputError(f"unknown case {case!r}")
     if set(params) != expected:
         raise InvalidInputError(f"case {case} takes parameters {sorted(expected)}")
-
     if case == "i":
-        t = params["t"]
-        if t < 1:
+        if params["t"] < 1:
             raise InvalidInputError("need t >= 1")
-        r = 2 ** (t + 1) - 2
-        G = make_group([2] * r)
-        k = (r + 2) // 2 + 1
-    elif case == "ii":
-        p = params["p"]
-        if not is_prime(p) or p < 5:
-            raise InvalidInputError("need a prime p >= 5")
-        G = make_group([p] * 4)
-        k = 2 * p + 1
+        G = make_group([2] * (2 ** (params["t"] + 1) - 2))
     else:
-        p, d = params["p"], params["d"]
+        p, d = params["p"], params.get("d", 4)  # case ii is C_p^4
         if not is_prime(p):
             raise InvalidInputError(f"p = {p} is not prime")
         if d < 1:
             raise InvalidInputError("need d >= 1")
         G = make_group([p] * d)
-        D = d_star(G)
-        if not p <= (d - 1) * p <= D:
-            raise InvalidInputError(f"need k-1 = (d-1)p in [p, D] = [{p}, {D}]")
-        k = (d - 1) * p + 1
-    D = d_star(G)  # exact: p-group
-    return TheoremClaim(
-        theorem=f"thm_1_10({case})",
-        group=G,
-        k=k - 1,
-        hypotheses=((f"case {case} shape", True),),
-        claimed_bound=2 * D - k + 1,
-        d_value=D,
-        d_source="D=D* family",
-        conditional_on_d_star=False,
-        verifiable_at_desk=G.order <= DESK_ORDER_CAP,
-    )
-
-
-def thm_1_10_claims(G: GroupSpec) -> list[TheoremClaim]:
-    """The check_thm_1_10 claims whose case shape G has, in case order:
-    the inverse of that function's shape rules."""
-    if G.rank < 2 or not G.is_homocyclic() or not is_prime(G.exponent):
-        return []
-    p, r = G.exponent, G.rank
-    claims = []
-    if p == 2:
-        t = (r + 2).bit_length() - 2
-        if t >= 1 and 2 ** (t + 1) == r + 2:
-            claims.append(check_thm_1_10("i", t=t))
-    if p >= 5 and r == 4:
-        claims.append(check_thm_1_10("ii", p=p))
-    if p <= (r - 1) * p <= d_star(G):
-        claims.append(check_thm_1_10("iii", p=p, d=r))
-    return claims
+    for claim in thm_1_10_claims(G):
+        if claim.theorem == f"thm_1_10({case})":
+            return claim
+    raise InvalidInputError(f"{G} does not have the shape of Theorem 1.10 case {case}")
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,30 @@ class TestStateLayout:
         assert (result.value, str(result.witness), result.stats.nodes,
                 result.stats.pruned) == expected
 
+    @pytest.mark.parametrize("factors", [[3, 3], [2, 4]])
+    @pytest.mark.parametrize("k,horizon", [(3, None), (5, None), (6, 6), (8, 6)])
+    def test_explicit_interval_runs_as_interval(self, factors, k, horizon):
+        # The layout reads only L's mask: {1, ..., k} and [1, k] get the
+        # same rows, below the horizon and at or above it.
+        G = make_group(factors)
+        cfg = SearchConfig(horizon=horizon)
+        explicit = s_L(G, LengthSet.of(range(1, k + 1)), cfg)
+        interval = s_L(G, LengthSet.up_to(k), cfg)
+        assert (explicit.value, explicit.witness, explicit.stats.nodes,
+                explicit.stats.pruned) == (interval.value, interval.witness,
+                                           interval.stats.nodes, interval.stats.pruned)
+
+    @pytest.mark.parametrize("L", [LengthSet.up_to(2), LengthSet.of([1, 2])])
+    def test_stem_beyond_horizon(self, L):
+        # The stem's only zero-sum has length 4, outside L; it is checked at
+        # its own length, so it is accepted, and the search stops at once.
+        G = make_group([2, 2, 2])
+        stem = Sequence.from_elements(
+            G, [G.element(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))])
+        result = s_L(G, L, SearchConfig(stem=stem, horizon=2))
+        assert (result.value, result.complete, result.best_length, result.stats.nodes) == (
+            None, False, 4, 1)
+
     @pytest.mark.parametrize(
         "L", [LengthSet.all_positive(), LengthSet.up_to(3), LengthSet.exactly(3),
               LengthSet.of([3, 4])])

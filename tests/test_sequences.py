@@ -115,6 +115,15 @@ class TestLengthSet:
         assert L.mask(3) == 0
         assert L.label() == "{4}"
 
+    def test_exactly_is_the_one_member_set(self):
+        for m in (1, 4, 9):
+            L = LengthSet.exactly(m)
+            assert L == LengthSet.of((m,))
+            assert hash(L) == hash(LengthSet.of((m,)))
+            assert L.label() == f"{{{m}}}"
+        with pytest.raises(InvalidInputError, match="explicit length set"):
+            LengthSet.exactly(0)
+
     def test_explicit(self):
         L = LengthSet.of([2, 5])
         assert 2 in L and 5 in L and 3 not in L

@@ -270,6 +270,24 @@ class TestTheorem110:
         assert matched == 45
         assert thm_1_10_claims(make_group([2, 4])) == []
 
+    def test_case_claims_come_from_group_claims(self):
+        grid = ([("i", {"t": t}) for t in range(1, 5)]
+                + [("ii", {"p": p}) for p in (5, 7, 11, 13)]
+                + [("iii", {"p": p, "d": d}) for p in (2, 3, 5, 7) for d in range(2, p + 2)])
+        for case, params in grid:
+            claim = check_thm_1_10(case, **params)
+            assert claim.theorem == f"thm_1_10({case})"
+            assert claim in thm_1_10_claims(claim.group)
+
+    def test_shape_miss_names_group_and_case(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"C3\^4 does not have the shape of Theorem 1.10 case ii"):
+            check_thm_1_10("ii", p=3)
+        # (d-1)p = 8 exceeds D(C_2^5) = 6.
+        with pytest.raises(InvalidInputError,
+                           match=r"C2\^5 does not have the shape of Theorem 1.10 case iii"):
+            check_thm_1_10("iii", p=2, d=5)
+
 
 class TestLemma36Property:
     def test_c32_exhaustive(self):
