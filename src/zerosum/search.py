@@ -25,6 +25,18 @@ One iterative DFS serves every caller: it maximizes the length, and can
 also collect every sequence of a fixed length (for partitioning the tree
 into subtasks, and for ``enumerate_extremal``).
 
+The maximization is a branch-and-bound.  In an L-free sequence g appears at
+most cap(g) = min{l in L : ord(g) | l} - 1 times (the horizon when no such
+l lies within it), since g^l sums to 0.  Admissibility only shrinks down the
+tree and later terms are never below the last one, so below a node of
+length d at most the sum of cap(g) over its admissible candidates, less the
+copies of the last term already used, more terms fit.  A node whose d plus
+that sum does not exceed the best length found has its children dropped;
+as ties never replace the best, the witness stays the lexicographically
+least one.  The bound is off when collecting, which needs every sequence,
+and on the self-closed row (L = N, or an interval reaching the horizon),
+where cap(g) = ord(g) - 1 barely prunes and costs more time than it saves.
+
 Optional symmetry reduction (``symmetry_reduction``, off by default) takes
 one of two forms.  On homocyclic groups of prime exponent, in canonical
 order, the j-th appended element that leaves the subgroup generated by the
@@ -140,6 +152,26 @@ def _layout(L: LengthSet, horizon: int) -> tuple[int, bool, bool, tuple[int, ...
     return (banned[-1] + 1 if banned else 0), False, False, banned
 
 
+def _multiplicity_caps(G: GroupSpec, mask: int, limit: int) -> tuple[tuple[int, int], ...]:
+    """(cap, elements) pairs, ascending in cap and omitting cap 0: how often
+    each element can appear in an L-free sequence, grouped by that number.
+
+    g^l sums to 0 whenever ord(g) | l, so g appears at most
+    min{l in L : ord(g) | l} - 1 times; with no such l in ``mask`` (the
+    members of L up to ``limit``) the cap is ``limit``.
+    """
+    table = group_table(G)
+    by_order: dict[int, int] = {}
+    for i in range(len(table.elements)):
+        o = table.element(i).order()
+        by_order[o] = by_order.get(o, 0) | 1 << i
+    by_cap: dict[int, int] = {}
+    for o, elements in by_order.items():
+        cap = next((l - 1 for l in range(o, limit + 1, o) if mask >> l & 1), limit)
+        by_cap[cap] = by_cap.get(cap, 0) | elements
+    return tuple((cap, elements) for cap, elements in sorted(by_cap.items()) if cap)
+
+
 def _translation(factors: tuple[int, ...], rows: int, coords) -> tuple[tuple[int, ...], ...]:
     """Masked rotations translating each of ``rows`` packed rows of |G| bits
     by the element ``coords``: one (lo, hi, up, down) per nonzero coordinate,
@@ -176,6 +208,15 @@ class _Search:
     root included; reaching it, or passing the deadline, stops the search
     with ``stopped`` set.  ``symmetry`` is None, "flag" (the flag trick) or
     "roots" (the root's children are orbit minima; only without a prefix).
+
+    Without ``collect``, and off the self-closed layout, a node's children
+    are dropped when its length plus the multiplicity caps of its admissible
+    candidates (see the module docstring) cannot exceed ``best``.  The sum
+    is taken before the flag and root masks, since deeper nodes unlock later
+    flag members.  A dropped subtree could not have changed ``best`` or its
+    witness.  A search below a prefix (a partitioned subtask) starts from
+    its own ``best``, never a sibling's, so node counts do not depend on
+    scheduling or worker count.
     """
 
     def __init__(self, G, L, horizon, node_budget, deadline, symmetry, prefix):
@@ -187,7 +228,11 @@ class _Search:
         self.node_budget = node_budget
         self.deadline = deadline
         # The stem is checked at its own length, which may exceed the horizon.
-        rows, closed, at_most, banned = _layout(L, max(horizon, len(prefix)))
+        limit = max(horizon, len(prefix))
+        rows, closed, at_most, banned = _layout(L, limit)
+        # The bound is off on the self-closed layout: there cap = ord - 1,
+        # too weak to pay for itself.
+        self.caps = None if closed else _multiplicity_caps(G, L.mask(limit), limit)
         self.rows = rows
         self.full = (1 << rows * m) - 1
         self.step = 0 if closed else m
@@ -256,6 +301,7 @@ class _Search:
         horizon = self.horizon
         flag_bits, roots = self.flag_bits, self.roots
         found = self.found if collect else None
+        caps = None if collect else self.caps
         budget, deadline = self.node_budget, self.deadline
         nodes, pruned, best, best_stack = self.nodes, self.pruned, self.best, self.best_stack
         hit = self.hit_horizon
@@ -292,6 +338,20 @@ class _Search:
                 banned >>= start
                 pruned += banned.bit_count()
                 avail = ((row >> start) ^ banned) << start
+                if caps is not None and avail and depth < best:
+                    # Every later term is in avail, g at most cap(g) times;
+                    # room is depth + that bound - best.
+                    room = depth - best
+                    for c, elements in caps:
+                        room += c * (avail & elements).bit_count()
+                    if room > 0 and avail & 1 << start:
+                        # Less the copies of start already used.
+                        i = depth - 1
+                        while room > 0 and i >= 0 and seq[i] == start:
+                            room -= 1
+                            i -= 1
+                    if room <= 0:
+                        avail = 0
                 if flag_bits is not None:
                     avail &= span | flag_bits[dim]
                 elif not frames:  # the root

@@ -172,7 +172,7 @@ class TestBudgets:
         split = s_leq(C333, 4, SearchConfig(parallel_depth=2))
         assert pooled.value == split.value == 10
         assert pooled.witness == split.witness
-        assert pooled.stats.nodes == split.stats.nodes == 422_215
+        assert pooled.stats.nodes == split.stats.nodes == 232_287
 
     def test_partition_phase_cut_spends_only_the_budget(self):
         result = s_leq(make_group([3, 3, 3]), 4, SearchConfig(node_budget=30, parallel_depth=2))
@@ -196,7 +196,9 @@ class TestBudgets:
 
 class TestStateLayout:
     """(value, witness, nodes, pruned) for each branch of the packed state
-    layout, recorded with the per-element length-mask kernel it replaced."""
+    layout.  Values and witnesses were recorded with the per-element
+    length-mask kernel it replaced; the counts off the self-closed row are
+    those of the multiplicity-cap bound."""
 
     @pytest.mark.parametrize(
         "run,expected",
@@ -204,22 +206,22 @@ class TestStateLayout:
             # L = N: one self-closed row.
             (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 185, 349)),
             # Interval [1,k], k < horizon: k rows of "at most l terms".
-            (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 305, 509)),
-            (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 103, 155)),
+            (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 120, 191)),
+            (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 65, 105)),
             # Interval reaching the horizon collapses to the self-closed row.
             (lambda: s_leq(C32, 6, SearchConfig(horizon=6)), (5, "0,1^2; 1,0^2", 185, 349)),
             # Singleton and explicit sets: rows of exactly l terms.
-            (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 1603, 2193)),
-            (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 1225, 1794)),
+            (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 511, 633)),
+            (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 775, 1118)),
             # Singleton beyond the horizon: nothing banned, cut at the horizon.
             # (The length is a multiple of exp = 3, or s_L is certified
             # infinite before any search.)
             (lambda: s_L(C32, LengthSet.exactly(6), SearchConfig(horizon=3)),
-             (None, "0,0^3", 220, 0)),
+             (None, "0,0^3", 218, 0)),
             # Stem replay.
             (lambda: s_L(C32, LengthSet.of([3, 4]),
                          SearchConfig(stem=Sequence.from_pairs(C32, [(C32.element((1, 0)), 2)]))),
-             (6, "1,0^2; 1,1^2; 2,0^1", 30, 40)),
+             (6, "1,0^2; 1,1^2; 2,0^1", 24, 31)),
         ],
     )
     def test_pinned_counts(self, run, expected):
@@ -313,11 +315,67 @@ class TestDeterminismAndModes:
             davenport(C32, SearchConfig(stem=stem))
 
 
+def bound_cases():
+    """(factors, L, horizon) over six small groups.  L runs over one-row and
+    two-row intervals, an interval, explicit sets and {exp}; an L with no
+    multiple of exp(G) is certified infinite before any search.  C2xC6 is
+    here because {3,6} on it is where a cap one too small changes the
+    witness."""
+    for factors in ([3, 3], [2, 4], [2, 2, 2], [6], [4, 4], [3, 6], [2, 6]):
+        for L in (LengthSet.of([1]), LengthSet.of([1, 2]), LengthSet.up_to(3),
+                  LengthSet.of([2, 4]), LengthSet.exactly(max(factors)), LengthSet.of([3, 6])):
+            for horizon in (None, 6):
+                yield pytest.param(factors, L, horizon, id=f"{factors}-{L.label()}-{horizon}")
+
+
+class TestBound:
+    """The multiplicity-cap bound drops only subtrees that cannot beat the
+    best length found, so the maximization keeps the value and the
+    lexicographically least witness of the collect path, which never
+    applies the bound."""
+
+    @pytest.mark.parametrize("factors,L,horizon", bound_cases())
+    def test_matches_unbounded_collect(self, factors, L, horizon):
+        G = make_group(factors)
+        result = s_L(G, L, SearchConfig(horizon=horizon))
+        if not L.has_multiple_of(G.exponent):
+            assert result.infinite and result.stats.nodes == 0
+            return
+        longest = enumerate_extremal(G, L, result.best_length)
+        assert longest.complete and result.witness == longest.sequences[0]
+        if not result.complete:  # cut at the horizon
+            assert result.best_length == horizon
+            return
+        assert enumerate_extremal(G, L, result.value).sequences == ()
+        # The oracle scans every multiset of length s_L; C4^2 and C3xC6
+        # have millions.
+        if math.comb(G.order + result.value - 1, result.value) <= 25_000:
+            assert result.value == brute_s_L(factors, lambda n: [l for l in range(1, n + 1)
+                                                                 if l in L])
+
+    @pytest.mark.parametrize("G,L", [(make_group([4, 4]), LengthSet.up_to(4)),
+                                     (make_group([3, 3, 3]), LengthSet.exactly(3))], ids=str)
+    def test_independent_of_workers(self, G, L):
+        # Subtasks start from their own best, never a sibling's.
+        runs = {}
+        for workers in (1, 2):
+            for depth in (0, 1, 2, 3):
+                result = s_L(G, L, SearchConfig(symmetry_reduction=True, workers=workers,
+                                                parallel_depth=depth))
+                split = depth or (2 if workers > 1 else 0)
+                runs.setdefault(split, []).append(result)
+        serial = runs[0][0]
+        for split, results in runs.items():
+            for result in results:
+                assert (result.value, result.witness) == (serial.value, serial.witness)
+            assert len({result.stats.nodes for result in results}) == 1, split
+
+
 def root_restricted_cases(max_order):
     """(factors, L) for each chain of order <= max_order that the flag trick
     does not cover: L = N, [1,k] for k in [exp, D*-1], and {exp}.  On cyclic
     groups {n} is kept to n <= 10: the plain search for C12 already takes
-    4M nodes, and it grows fast with n."""
+    2.8M nodes, and it grows fast with n."""
     cases = []
     for factors in factor_chains(max_order):
         if len(set(factors)) == 1 and is_prime(factors[0]):
@@ -349,8 +407,8 @@ class TestRootRestriction:
         # C4^2 has three orbits: 0, the elements of order 4, those of order 2.
         G = make_group([4, 4])
         L = LengthSet.up_to(4)
-        assert s_L(G, L).stats.nodes == 7615
-        assert s_L(G, L, SearchConfig(symmetry_reduction=True)).stats.nodes == 2864
+        assert s_L(G, L).stats.nodes == 3921
+        assert s_L(G, L, SearchConfig(symmetry_reduction=True)).stats.nodes == 1514
 
     @pytest.mark.parametrize("factors", [[2, 6], [4, 4]])
     @pytest.mark.parametrize("workers", [1, 2])
