@@ -44,7 +44,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ap.add_argument(
         "--node-budget",
         type=int,
-        default=100_000_000,
+        default=SearchConfig.node_budget,
         help="search node budget per invariant",
     )
     ap.add_argument(

@@ -170,17 +170,8 @@ def cmd_verify(args) -> int:
     G = parse_group(args.group)
     S = _read_sequence(G, args)
     report = verify_construction(S, expected_length=args.len, min_zs=args.min_zs)
-    payload = {
-        "group": str(G),
-        "sequence": S.format(),
-        "expected_length": report.expected_length,
-        "min_zs": report.min_zs,
-        "actual_length": report.actual_length,
-        "actual_min": report.actual_min,
-        "length_ok": report.length_ok,
-        "min_ok": report.min_ok,
-        "passed": report.passed,
-    }
+    payload = {"group": str(G), **{f.name: getattr(report, f.name) for f in fields(report)},
+               "sequence": S.format(), "passed": report.passed}
     if args.format == "text":
         verdict = "pass" if report.passed else "FAIL"
         _emit(

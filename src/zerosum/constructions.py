@@ -103,12 +103,6 @@ def build_lower_general(p: LowerGeneralParams) -> Sequence:
 # --- the inverse families over C_n^2 ----------------------------------------
 
 
-def _item2(G: GroupSpec, n: int, xs) -> Sequence:
-    e1, e2 = G.e(1), G.e(2)
-    elements = [e1] * (n - 1) + [x * e1 + e2 for x in xs]
-    return Sequence.from_elements(G, elements)
-
-
 def build_inv2(n: int, k: int, xs=None, x: int | None = None) -> Sequence:
     """A member of the length-(2n-2+k) family over C_n^2 with no zero-sum
     subsequence of length <= 2n-1-k.
@@ -138,7 +132,7 @@ def build_inv2(n: int, k: int, xs=None, x: int | None = None) -> Sequence:
     xs = tuple(int(v) % n for v in xs)
     if len(xs) != n or sum(xs) % n != 1:
         raise InvalidParamsError("need n coefficients with sum = 1 mod n")
-    S = _item2(G, n, xs)
+    S = Sequence.from_elements(G, [e1] * (n - 1) + [x * e1 + e2 for x in xs])
     if k == 1:
         return S
     # k = 0: drop one varying term; the remainder sums to its negation.
@@ -146,42 +140,26 @@ def build_inv2(n: int, k: int, xs=None, x: int | None = None) -> Sequence:
 
 
 def inverse_family_members(n: int, k: int) -> tuple[Sequence, ...]:
-    """Every family member for this k, over the standard basis.
+    """Every family member for this k, over the standard basis, each built by
+    ``build_inv2``.
 
     The k = 1 coefficient lists are enumerated as multisets (term order is
-    immaterial); k = 0 members are the k = 1 members with one term removed.
+    immaterial); k = 0 members are the k = 1 members with one term removed,
+    in first-seen order.
     """
     if n < 2:
         raise InvalidParamsError("need n >= 2")
     if not 0 <= k <= n - 1:
         raise InvalidParamsError("need k in [0, n-1]")
-    G = make_group([n, n])
-    e1, e2 = G.e(1), G.e(2)
     if k == n - 1:
-        return tuple(
-            Sequence.from_pairs(G, [(e1, n - 1), (e2, n - 1), (x * e1 + e2, k)])
-            for x in range(1, n)
-            if gcd(x, n) == 1
-        )
+        return tuple(build_inv2(n, k, x=x) for x in range(1, n) if gcd(x, n) == 1)
     if k >= 2:
-        return (Sequence.from_pairs(G, [(e1, n - 1), (e2, n - 1), (e1 + e2, k)]),)
-    members = []
-    seen = set()
-    for xs in combinations_with_replacement(range(n), n):
-        if sum(xs) % n != 1:
-            continue
-        S = _item2(G, n, xs)
-        if k == 1:
-            if S.terms not in seen:
-                seen.add(S.terms)
-                members.append(S)
-            continue
-        for g in S.support():
-            W = S.without_term(g)
-            if W.terms not in seen:
-                seen.add(W.terms)
-                members.append(W)
-    return tuple(members)
+        return (build_inv2(n, k),)
+    members = tuple(build_inv2(n, 1, xs=xs)
+                    for xs in combinations_with_replacement(range(n), n) if sum(xs) % n == 1)
+    if k == 1:
+        return members
+    return tuple(dict.fromkeys(S.without_term(g) for S in members for g in S.support()))
 
 
 def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:

@@ -446,10 +446,11 @@ def parse_group(text: str) -> GroupSpec:
 
 
 class GroupTable:
-    """Indexed view of a small group: elements in enumeration order, the
-    negation permutation, and per-element addition permutations."""
+    """Indexed view of a small group: elements in enumeration order (as
+    coordinates, and as GroupElements built once), the negation permutation,
+    and per-element addition permutations."""
 
-    __slots__ = ("group", "elements", "index", "neg", "_add_rows")
+    __slots__ = ("group", "elements", "index", "neg", "_add_rows", "_members")
 
     def __init__(self, G: GroupSpec):
         if G.order > ENUMERATION_CAP:
@@ -462,6 +463,7 @@ class GroupTable:
             self.index[tuple((-c) % n for c, n in zip(coords, fs))] for coords in self.elements
         )
         self._add_rows: dict[int, tuple[int, ...]] = {}
+        self._members = tuple(GroupElement(G, coords) for coords in self.elements)
 
     def add_row(self, gi: int) -> tuple[int, ...]:
         """Permutation s -> s + g, as element indices."""
@@ -481,7 +483,7 @@ class GroupTable:
         return self.add_row(self.neg[gi])
 
     def element(self, i: int) -> GroupElement:
-        return GroupElement(self.group, self.elements[i])
+        return self._members[i]
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,7 @@ first in their Aut(G)-orbit (``groups.orbit_minima``, read from Ulm
 classes).  The lexicographically least L-free sequence of maximum length is
 least in its orbit, since phi(S) sorts below S whenever phi maps S's first
 term below it, so its first term is such an element: value and witness
-equal the plain search's.  Neither form applies below a stem.
+equal the plain search's.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import InvalidInputError
 from .groups import GroupSpec, _invertible_matrices, d_star, group_table, is_prime, orbit_minima
@@ -74,11 +75,9 @@ class SearchConfig:
     the node budget.  ``symmetry_reduction`` uses the flag trick on
     homocyclic groups of prime exponent (same value, possibly another
     witness) and restricts the first term to Aut(G)-orbit minima on every
-    other group (same value and witness).  ``stem`` restricts the search to
-    canonical sequences extending the given multiset (symmetry reduction is
-    disabled then).  A positive ``parallel_depth`` splits the tree into
-    subtasks at that depth; ``workers`` > 1 runs them in a process pool and,
-    with ``parallel_depth`` 0, splits at depth 2.
+    other group (same value and witness).  A positive ``parallel_depth``
+    splits the tree into subtasks at that depth; ``workers`` > 1 runs them in
+    a process pool and, with ``parallel_depth`` 0, splits at depth 2.
     """
 
     node_budget: int = _DEFAULT_NODE_BUDGET
@@ -87,7 +86,6 @@ class SearchConfig:
     parallel_depth: int = 0
     workers: int = 1
     horizon: int | None = None  # None -> 4 * d_star(G)
-    stem: Sequence | None = None
 
     def __post_init__(self):
         if self.node_budget < 1:
@@ -227,12 +225,10 @@ class _Search:
         self.horizon = horizon
         self.node_budget = node_budget
         self.deadline = deadline
-        # The stem is checked at its own length, which may exceed the horizon.
-        limit = max(horizon, len(prefix))
-        rows, closed, at_most, banned = _layout(L, limit)
+        rows, closed, at_most, banned = _layout(L, horizon)
         # The bound is off on the self-closed layout: there cap = ord - 1,
         # too weak to pay for itself.
-        self.caps = None if closed else _multiplicity_caps(G, L.mask(limit), limit)
+        self.caps = None if closed else _multiplicity_caps(G, L.mask(horizon), horizon)
         self.rows = rows
         self.full = (1 << rows * m) - 1
         self.step = 0 if closed else m
@@ -250,8 +246,6 @@ class _Search:
         # The empty subsequence sums to 0 with length 0.
         state = self.full // ((1 << m) - 1) if at_most else 1 & self.full
         for gi in prefix:
-            if self._banned(state) >> gi & 1:
-                raise InvalidInputError("stem has a zero-sum subsequence with length in L")
             state |= (_translate(state, self._move(gi)) << self.step) & self.full
         self.prefix = tuple(prefix)
         self.state = state
@@ -277,12 +271,6 @@ class _Search:
             move = self._moves[gi] = _translation(self.factors, self.rows, coords)
         return move
 
-    def _banned(self, x):
-        banned = x >> self.top
-        for off in self.lower_bans:
-            banned |= (x >> off) & ((1 << self.m) - 1)
-        return banned
-
     def _grow(self, span, gi):
         """The subgroup generated by ``span`` and g, as an |G|-bit int."""
         move = self._move(gi)
@@ -293,8 +281,8 @@ class _Search:
         return new
 
     def run(self, cap: int, collect: bool = False) -> None:
-        # The state update and banned set below inline _move, _translate
-        # and _banned: they run once per node.
+        # The state update and banned set below inline _move and _translate:
+        # they run once per node.
         row = (1 << self.m) - 1
         full, step, top, lower = self.full, self.step, self.top, self.lower_bans
         moves = self._moves
@@ -399,18 +387,9 @@ def _symmetry_applicable(G: GroupSpec, cfg: SearchConfig) -> str | None:
     # Flag forcing relies on the stabilizer acting transitively outside the
     # span, which holds when the coordinate ring is a field: prime exponent.
     # Every other group gets orbit-minimum first terms.
-    if not cfg.symmetry_reduction or cfg.stem is not None:
+    if not cfg.symmetry_reduction:
         return None
     return "flag" if G.is_homocyclic() and is_prime(G.exponent) else "roots"
-
-
-def _stem_indices(G: GroupSpec, stem: Sequence | None) -> tuple[int, ...]:
-    if stem is None:
-        return ()
-    if stem.group != G:
-        raise InvalidInputError("stem is over a different group")
-    index = group_table(G).index
-    return tuple(index[g.coords] for g in stem.expand())
 
 
 def _deadline(cfg: SearchConfig) -> float | None:
@@ -427,8 +406,7 @@ def _search_below(G, L, horizon, node_budget, deadline, symmetry, prefix):
 
 
 def _run_partitioned(G, L, cfg, depth, horizon, symmetry):
-    """Split the DFS tree at ``depth`` below the stem into independent
-    subtasks.
+    """Split the DFS tree at ``depth`` into independent subtasks.
 
     Outcomes merge in tree order, so ties keep the serial witness, and the
     subtasks share the node budget as if run one after another: a pool
@@ -436,9 +414,8 @@ def _run_partitioned(G, L, cfg, depth, horizon, symmetry):
     that budget.  The outcome does not depend on scheduling or worker count.
     """
     deadline = _deadline(cfg)
-    prefix = _stem_indices(G, cfg.stem)
-    split = _Search(G, L, horizon, cfg.node_budget, deadline, symmetry, prefix)
-    split.run(min(len(prefix) + depth, horizon), collect=True)
+    split = _Search(G, L, horizon, cfg.node_budget, deadline, symmetry, ())
+    split.run(min(depth, horizon), collect=True)
     best, best_stack = split.best, split.best_stack
     nodes, pruned = split.nodes, split.pruned
     stopped, hit_horizon = split.stopped, split.hit_horizon
@@ -473,8 +450,10 @@ def _run_partitioned(G, L, cfg, depth, horizon, symmetry):
 
 
 def _sequence_from_indices(G: GroupSpec, indices) -> Sequence:
-    table = group_table(G)
-    return Sequence.from_elements(G, (table.element(i) for i in indices))
+    """The sequence of a sorted index tuple: table order is coordinate order,
+    so each run of equal indices is one term, already in place."""
+    element = group_table(G).element
+    return Sequence(G, tuple((element(i), len(list(run))) for i, run in groupby(indices)))
 
 
 def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchResult:
@@ -486,8 +465,7 @@ def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchRe
     exp(G) | l for some l in L, any sequence of length |G|(l-1)+1 repeats
     some element l times, and those l copies sum to 0.  A finite s_L is
     searched to the configured horizon, and reported unknown if any branch
-    was cut there.  With a stem, the value reported is 1 + the longest
-    L-free extension of the stem.
+    was cut there.
     """
     cfg = cfg or SearchConfig()
     t0 = time.monotonic()
@@ -503,8 +481,7 @@ def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchRe
     if depth > 0:
         outcome = _run_partitioned(G, L, cfg, depth, horizon, symmetry)
     else:
-        outcome = _search_below(G, L, horizon, cfg.node_budget, _deadline(cfg), symmetry,
-                                _stem_indices(G, cfg.stem))
+        outcome = _search_below(G, L, horizon, cfg.node_budget, _deadline(cfg), symmetry, ())
     best, best_stack, nodes, pruned, stopped, hit_horizon = outcome
 
     seconds = time.monotonic() - t0
@@ -569,7 +546,7 @@ def enumerate_extremal(G: GroupSpec, L: LengthSet, length: int,
         _invertible_matrices(G)  # refuses an unsupported G before the search
     cfg = cfg or SearchConfig()
     search = _Search(G, L, max(length, 1), cfg.node_budget, _deadline(cfg),
-                     "roots" if up_to_automorphism else None, _stem_indices(G, cfg.stem))
+                     "roots" if up_to_automorphism else None, ())
     search.run(length, collect=True)
     seqs = [_sequence_from_indices(G, idx) for idx in search.found]
     if up_to_automorphism:

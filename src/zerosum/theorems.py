@@ -54,11 +54,14 @@ class TheoremClaim:
     d_source: str
     conditional_on_d_star: bool
     equality_expected: bool = False
-    verifiable_at_desk: bool = False
 
     @property
     def applies(self) -> bool:
         return all(value for _, value in self.hypotheses)
+
+    @property
+    def verifiable_at_desk(self) -> bool:
+        return self.group.order <= DESK_ORDER_CAP
 
 
 def davenport_value(
@@ -106,7 +109,6 @@ def check_thm_1_8(
         d_source=d_source,
         conditional_on_d_star=conditional,
         equality_expected=equality,
-        verifiable_at_desk=G.order <= DESK_ORDER_CAP,
     )
 
 
@@ -176,7 +178,6 @@ def check_thm_1_9(G: GroupSpec, k: int) -> TheoremClaim:
         d_value=D,
         d_source="D=D* family",
         conditional_on_d_star=False,
-        verifiable_at_desk=G.order <= DESK_ORDER_CAP,
     )
 
 
@@ -206,7 +207,6 @@ def thm_1_10_claims(G: GroupSpec) -> list[TheoremClaim]:
             d_value=D,
             d_source="D=D* family",
             conditional_on_d_star=False,
-            verifiable_at_desk=G.order <= DESK_ORDER_CAP,
         )
         for case, fits, k1 in shapes
         if fits

@@ -8,7 +8,6 @@ computation is explicitly out of desk reach, and that use is itself what
 criterion 14 documents.
 """
 
-import os
 from contextlib import contextmanager
 
 import pytest
@@ -66,10 +65,6 @@ def test_criterion_01_c33_interval_values(c33_computed_values):
             assert result.witness.length == want - 1
 
 
-@pytest.mark.skipif(
-    not os.environ.get("ZEROSUM_RUN_SLOW"),
-    reason="set ZEROSUM_RUN_SLOW=1 to re-run the k=3 search without symmetry reduction",
-)
 def test_criterion_01_slow_cross_check_no_symmetry():
     result = s_leq(C33, 3)
     assert result.complete and result.value == 17

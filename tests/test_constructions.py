@@ -129,16 +129,25 @@ class TestInverseFamilies:
                 assert m is None or m >= 2 * n - k
 
     def test_member_counts_small(self):
-        # k = n-1 members are one per unit x
-        assert len(inverse_family_members(4, 3)) == 2
-        assert len(inverse_family_members(3, 2)) == 2
-        # middle k is a single sequence
-        assert len(inverse_family_members(5, 2)) == 1
+        # Per k = 0..n-1: k = n-1 has one member per unit x, middle k one.
+        sizes = {
+            2: [3, 1],
+            3: [9, 3, 2],
+            4: [28, 8, 1, 2],
+            5: [95, 25, 1, 1, 4],
+            6: [327, 75, 1, 1, 1, 2],
+            7: [1169, 245, 1, 1, 1, 1, 6],
+            8: [4232, 800, 1, 1, 1, 1, 1, 4],
+            9: [15570, 2700, 1, 1, 1, 1, 1, 1, 6],
+        }
+        for n, expected in sizes.items():
+            assert [len(inverse_family_members(n, k)) for k in range(n)] == expected, n
 
     def test_k0_members_are_truncations(self):
-        ones = {m.terms for m in inverse_family_members(3, 1)}
-        for W in inverse_family_members(3, 0):
-            assert W.with_term(-sigma(W)).terms in ones
+        for n in range(2, 7):
+            ones = {m.terms for m in inverse_family_members(n, 1)}
+            for W in inverse_family_members(n, 0):
+                assert W.with_term(-sigma(W)).terms in ones
 
 
 class TestMatcher:

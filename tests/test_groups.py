@@ -8,6 +8,7 @@ import pytest
 
 from zerosum import (
     Automorphism,
+    GroupElement,
     GroupSpec,
     InvalidFactorError,
     InvalidInputError,
@@ -331,3 +332,11 @@ class TestGroupTable:
         tab = group_table(G)
         assert tab.element(3).coords == (3,)
         assert tab.element(0).is_zero()
+
+    @pytest.mark.parametrize("factors", [[5], [2, 4], [3, 3, 3]])
+    def test_elements_built_once(self, factors):
+        G = make_group(factors)
+        tab = group_table(G)
+        for i, coords in enumerate(tab.elements):
+            assert group_table(G).element(i) is tab.element(i)
+            assert tab.element(i) == GroupElement(G, coords)

@@ -27,7 +27,7 @@ from zerosum import (
     sigma,
 )
 from zerosum.groups import d_star, group_table, is_prime
-from zerosum.search import _translate, _translation
+from zerosum.search import _sequence_from_indices, _translate, _translation
 
 from conftest import (
     all_elements,
@@ -218,10 +218,6 @@ class TestStateLayout:
             # infinite before any search.)
             (lambda: s_L(C32, LengthSet.exactly(6), SearchConfig(horizon=3)),
              (None, "0,0^3", 218, 0)),
-            # Stem replay.
-            (lambda: s_L(C32, LengthSet.of([3, 4]),
-                         SearchConfig(stem=Sequence.from_pairs(C32, [(C32.element((1, 0)), 2)]))),
-             (6, "1,0^2; 1,1^2; 2,0^1", 24, 31)),
         ],
     )
     def test_pinned_counts(self, run, expected):
@@ -241,25 +237,6 @@ class TestStateLayout:
         assert (explicit.value, explicit.witness, explicit.stats.nodes,
                 explicit.stats.pruned) == (interval.value, interval.witness,
                                            interval.stats.nodes, interval.stats.pruned)
-
-    @pytest.mark.parametrize("L", [LengthSet.up_to(2), LengthSet.of([1, 2])])
-    def test_stem_beyond_horizon(self, L):
-        # The stem's only zero-sum has length 4, outside L; it is checked at
-        # its own length, so it is accepted, and the search stops at once.
-        G = make_group([2, 2, 2])
-        stem = Sequence.from_elements(
-            G, [G.element(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))])
-        result = s_L(G, L, SearchConfig(stem=stem, horizon=2))
-        assert (result.value, result.complete, result.best_length, result.stats.nodes) == (
-            None, False, 4, 1)
-
-    @pytest.mark.parametrize(
-        "L", [LengthSet.all_positive(), LengthSet.up_to(3), LengthSet.exactly(3),
-              LengthSet.of([3, 4])])
-    def test_rejected_stem(self, L):
-        stem = Sequence.from_pairs(C32, [(C32.element((1, 0)), 3)])
-        with pytest.raises(InvalidInputError):
-            s_L(C32, L, SearchConfig(stem=stem))
 
     @given(st.data())
     def test_masked_rotation_matches_add_row(self, data):
@@ -298,21 +275,6 @@ class TestDeterminismAndModes:
         a = s_leq(C32, 4)
         b = s_leq(C32, 4)
         assert (a.value, a.witness) == (b.value, b.witness)
-
-    def test_stem_restriction(self):
-        g = C32.element((1, 0))
-        stem = Sequence.from_pairs(C32, [(g, 2)])
-        result = davenport(C32, SearchConfig(stem=stem))
-        assert result.complete
-        # longest zero-sum-free sequence containing (1,0)^2 has length 4
-        assert result.value == 5
-        assert result.witness.multiplicity(g) >= 2
-
-    def test_stem_that_already_violates_is_rejected(self):
-        g = C32.element((1, 0))
-        stem = Sequence.from_pairs(C32, [(g, 3)])  # (1,0)^3 sums to zero
-        with pytest.raises(InvalidInputError):
-            davenport(C32, SearchConfig(stem=stem))
 
 
 def bound_cases():
@@ -421,13 +383,15 @@ class TestRootRestriction:
             assert (split.value, split.witness, split.complete) == (
                 serial.value, serial.witness, serial.complete)
 
-    def test_stem_search_is_not_restricted(self):
-        G = make_group([4, 4])
-        stem = Sequence.from_pairs(G, [(G.element((1, 1)), 1)])
-        plain = s_L(G, LengthSet.up_to(4), SearchConfig(stem=stem))
-        reduced = s_L(G, LengthSet.up_to(4), SearchConfig(stem=stem, symmetry_reduction=True))
-        assert (reduced.value, reduced.witness, reduced.stats.nodes) == (
-            plain.value, plain.witness, plain.stats.nodes)
+
+class TestSequenceFromIndices:
+    @given(st.data())
+    def test_matches_from_elements(self, data):
+        G = make_group(data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+        table = group_table(G)
+        idx = tuple(sorted(data.draw(st.lists(st.integers(0, G.order - 1), max_size=8))))
+        expected = Sequence.from_elements(G, (table.element(i) for i in idx))
+        assert _sequence_from_indices(G, idx) == expected
 
 
 class TestEnumeration:
