@@ -108,7 +108,7 @@ def _add_output_flags(sub, formats=("json", "text")) -> None:
 def _read_sequence(G: GroupSpec, args) -> Sequence:
     if args.seq is not None:
         return Sequence.parse(G, args.seq)
-    text = Path(getattr(args, "infile")).read_text().strip()
+    text = Path(args.infile).read_text().strip()
     return Sequence.parse(G, text)
 
 
@@ -230,7 +230,7 @@ def _claim_payload(claim: TheoremClaim) -> dict:
 def cmd_theorems(args) -> int:
     G = parse_group(args.group)
     cfg = _search_config(args)
-    claims = [check_thm_1_8(G, cfg, data_path=args.data)]
+    claims = [check_thm_1_8(G, cfg)]
     if args.k is not None:
         claims.append(check_thm_1_9(G, args.k))
     claims.extend(thm_1_10_claims(G))
@@ -251,7 +251,7 @@ def cmd_theorems(args) -> int:
 def cmd_conjectures(args) -> int:
     G = parse_group(args.group)
     cfg = _search_config(args)
-    report = conjecture_harness(G, source=args.source, cfg=cfg, data_path=args.data)
+    report = conjecture_harness(G, source=args.source, cfg=cfg)
     rows = [asdict(r) for r in report.rows]
     payload = {
         "group": str(G),
@@ -378,7 +378,6 @@ def build_parser() -> _Parser:
     p_thm = subs.add_parser("theorems", help="evaluate theorem hypotheses for a group")
     p_thm.add_argument("group")
     p_thm.add_argument("--k", type=int, default=None)
-    p_thm.add_argument("--data", default=None, metavar="PATH")
     _add_budget_flags(p_thm)
     _add_output_flags(p_thm)
     p_thm.set_defaults(func=cmd_theorems, parser=p_thm)
@@ -386,7 +385,6 @@ def build_parser() -> _Parser:
     p_conj = subs.add_parser("conjectures", help="run the k_G conjecture harness")
     p_conj.add_argument("group")
     p_conj.add_argument("--source", choices=("computed", "bundled"), default="computed")
-    p_conj.add_argument("--data", default=None, metavar="PATH")
     _add_budget_flags(p_conj)
     _add_output_flags(p_conj, formats=("json", "csv", "text"))
     p_conj.set_defaults(func=cmd_conjectures, parser=p_conj)

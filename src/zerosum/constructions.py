@@ -11,6 +11,7 @@ matcher deciding whether a given sequence is one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -110,7 +111,8 @@ def build_inv2(n: int, k: int, xs=None, x: int | None = None) -> Sequence:
     k = 1 takes the n coefficients ``xs`` (default (0,...,0,1)) with
     sum(xs) = 1 mod n; k = n-1 takes a unit ``x`` (default 1); k in [2, n-2]
     has no parameters; k = 0 is the k = 1 member with its last varying term
-    removed (the removal keeps it zero-sum free).
+    removed (the removal keeps it zero-sum free).  For n = 2, k = 1 is
+    k = n-1.  A parameter given for a k that does not take it is an error.
     """
     if n < 2:
         raise InvalidParamsError("need n >= 2")
@@ -119,6 +121,8 @@ def build_inv2(n: int, k: int, xs=None, x: int | None = None) -> Sequence:
     G = make_group([n, n])
     e1, e2 = G.e(1), G.e(2)
     if k == n - 1:
+        if xs is not None:
+            raise InvalidParamsError("k = n-1 takes x, not xs")
         x = 1 if x is None else x
         if gcd(x, n) != 1:
             raise InvalidParamsError(f"need gcd(x, n) = 1, got x = {x}")
@@ -127,6 +131,8 @@ def build_inv2(n: int, k: int, xs=None, x: int | None = None) -> Sequence:
         if xs is not None or x is not None:
             raise InvalidParamsError("k in [2, n-2] takes no variant parameters")
         return Sequence.from_pairs(G, [(e1, n - 1), (e2, n - 1), (e1 + e2, k)])
+    if x is not None:
+        raise InvalidParamsError("k in {0, 1} takes xs, not x")
     if xs is None:
         xs = (0,) * (n - 1) + (1,)
     xs = tuple(int(v) % n for v in xs)
@@ -155,11 +161,12 @@ def inverse_family_members(n: int, k: int) -> tuple[Sequence, ...]:
         return tuple(build_inv2(n, k, x=x) for x in range(1, n) if gcd(x, n) == 1)
     if k >= 2:
         return (build_inv2(n, k),)
-    members = tuple(build_inv2(n, 1, xs=xs)
-                    for xs in combinations_with_replacement(range(n), n) if sum(xs) % n == 1)
     if k == 1:
-        return members
-    return tuple(dict.fromkeys(S.without_term(g) for S in members for g in S.support()))
+        return tuple(build_inv2(n, 1, xs=xs)
+                     for xs in combinations_with_replacement(range(n), n) if sum(xs) % n == 1)
+    # For n = 2, k = 1 is k = n-1, so its member comes from the unit branch.
+    ones = inverse_family_members(n, 1)
+    return tuple(dict.fromkeys(S.without_term(g) for S in ones for g in S.support()))
 
 
 def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
@@ -179,10 +186,16 @@ def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
     if k == 0:
         # phi(S) (-sigma(phi(S))) = phi(S (-sigma(S))), so extend S once.
         S, k = S.with_term(-sigma(S)), 1
-    members = frozenset(
+    members = _member_coords(n, k)
+    return any(tuple(image) in members for image in _automorphism_images(S))
+
+
+@lru_cache(maxsize=64)
+def _member_coords(n: int, k: int) -> frozenset[tuple[tuple[int, ...], ...]]:
+    """The term coordinates of every (n, k) family member, for k >= 1."""
+    return frozenset(
         tuple(g.coords for g in m.expand()) for m in inverse_family_members(n, k)
     )
-    return any(tuple(image) in members for image in _automorphism_images(S))
 
 
 # --- verification -----------------------------------------------------------

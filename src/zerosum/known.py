@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from math import ceil
-from pathlib import Path
 
 from .errors import InvalidInputError
 from .groups import GroupSpec, d_equals_dstar_known, d_star, parse_group
@@ -68,31 +67,24 @@ def _parse_rows(text: str, origin: str) -> tuple[BundledRow, ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=8)
-def _load_default() -> tuple[BundledRow, ...]:
+@lru_cache(maxsize=1)
+def load_bundled() -> tuple[BundledRow, ...]:
+    """All rows of the packaged ``data/known_values.txt``."""
     text = resources.files("zerosum").joinpath("data/known_values.txt").read_text()
     return _parse_rows(text, "known_values.txt")
 
 
-def load_bundled(path: str | Path | None = None) -> tuple[BundledRow, ...]:
-    """All bundled rows, from the packaged file or an override file."""
-    if path is None:
-        return _load_default()
-    p = Path(path)
-    return _parse_rows(p.read_text(), str(p))
-
-
-def _bundled_lookup(G: GroupSpec, invariant: str, param, path) -> KnownValue | None:
-    for row in load_bundled(path):
+def _bundled_lookup(G: GroupSpec, invariant: str, param) -> KnownValue | None:
+    for row in load_bundled():
         if row.group == G and row.invariant == invariant and row.param == param:
             return KnownValue(value=row.value, source=row.source)
     return None
 
 
-def known_davenport(G: GroupSpec, path: str | Path | None = None) -> KnownValue | None:
+def known_davenport(G: GroupSpec) -> KnownValue | None:
     """The exact zero-sum constant D(G) when it is known: a bundled row,
     or D*(G) for the group families where equality is a theorem."""
-    hit = _bundled_lookup(G, "davenport", None, path)
+    hit = _bundled_lookup(G, "davenport", None)
     if hit is not None:
         return hit
     if d_equals_dstar_known(G):
@@ -100,17 +92,17 @@ def known_davenport(G: GroupSpec, path: str | Path | None = None) -> KnownValue 
     return None
 
 
-def known_s_leq(G: GroupSpec, k: int, path: str | Path | None = None) -> KnownValue | None:
+def known_s_leq(G: GroupSpec, k: int) -> KnownValue | None:
     """The exact value of the shortest-forced-zero-sum threshold s_leq(G, k)
     when published: bundled tables, the k >= D(G) cap, the exponent-2
     homocyclic family, the rank-2 formula, and the two prime-power
     homocyclic formulas."""
     if k < 1:
         raise InvalidInputError(f"need k >= 1, got {k}")
-    hit = _bundled_lookup(G, "s_leq", k, path)
+    hit = _bundled_lookup(G, "s_leq", k)
     if hit is not None:
         return hit
-    dav = known_davenport(G, path)
+    dav = known_davenport(G)
     if dav is not None and k >= dav.value:
         return KnownValue(value=dav.value, source=f"k >= D cap ({dav.source})")
     r = G.rank
@@ -135,13 +127,13 @@ def known_s_leq(G: GroupSpec, k: int, path: str | Path | None = None) -> KnownVa
     return None
 
 
-def known_s_kexp(G: GroupSpec, k: int, path: str | Path | None = None) -> KnownValue | None:
+def known_s_kexp(G: GroupSpec, k: int) -> KnownValue | None:
     """The exact value of the forced zero-sum of length exactly k*exp(G)
     when published: bundled rows plus the odd-rank exponent-2 family
     s_{2m}(C_2^(2m+1)) = 4m+5 for odd m."""
     if k < 1:
         raise InvalidInputError(f"need k >= 1, got {k}")
-    hit = _bundled_lookup(G, "s_kexp", k, path)
+    hit = _bundled_lookup(G, "s_kexp", k)
     if hit is not None:
         return hit
     if G.is_homocyclic() and G.exponent == 2 and G.rank == 2 * k + 1 and k % 2 == 1:

@@ -233,12 +233,6 @@ class FeasibilityTable:
             return False
         return bool(self.masks[group_table(self.group).index[g.coords]] >> length & 1)
 
-    def lengths(self, g: GroupElement) -> tuple[int, ...]:
-        if g.group != self.group:
-            raise GroupMismatchError("element from a different group")
-        mask = self.masks[group_table(self.group).index[g.coords]]
-        return tuple(l for l in range(self.size + 1) if mask >> l & 1)
-
     def zero_sum_lengths(self) -> tuple[int, ...]:
         """Nonempty zero-sum subsequence lengths."""
         mask = self.masks[0]

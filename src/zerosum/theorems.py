@@ -67,12 +67,11 @@ class TheoremClaim:
 def davenport_value(
     G: GroupSpec,
     cfg: SearchConfig | None = None,
-    data_path=None,
 ) -> tuple[int, str, bool]:
     """(D, source, conditional): exact from a published family or bundled
     row, else exact by search for desk-scale groups, else D*(G) flagged as
     an assumption."""
-    hit = known_davenport(G, path=data_path)
+    hit = known_davenport(G)
     if hit is not None:
         return hit.value, hit.source, False
     if G.order <= DESK_ORDER_CAP:
@@ -85,12 +84,11 @@ def davenport_value(
 def check_thm_1_8(
     G: GroupSpec,
     cfg: SearchConfig | None = None,
-    data_path=None,
 ) -> TheoremClaim:
     """Bound s_leq(G, D-2) <= D+2 for groups of rank >= 2 other than C_2^3
     and C_2^4, provided D-2 >= exp(G); equality is additionally expected
     when D = D* and exp(G) >= (D-1)/2."""
-    D, d_source, conditional = davenport_value(G, cfg, data_path)
+    D, d_source, conditional = davenport_value(G, cfg)
     excluded = G in (make_group([2, 2, 2]), make_group([2, 2, 2, 2]))
     hypotheses = (
         ("rank >= 2", G.rank >= 2),
@@ -112,7 +110,7 @@ def check_thm_1_8(
     )
 
 
-def check_lemma_5_1(G: GroupSpec, k: int, S: Sequence, data_path=None) -> bool:
+def check_lemma_5_1(G: GroupSpec, k: int, S: Sequence) -> bool:
     """Binomial guarantee for one sequence: with G a p-group, k in
     [exp(G)+1, D], |S| = 2D-k+1 and S having no zero-sum subsequence of
     length in [D+1, |S|], a nonzero C(D, k-1) mod p forces a zero-sum
@@ -122,7 +120,7 @@ def check_lemma_5_1(G: GroupSpec, k: int, S: Sequence, data_path=None) -> bool:
         raise InvalidInputError(f"{G} is not a p-group")
     if S.group != G:
         raise InvalidInputError(f"sequence is over {S.group}, not {G}")
-    D, _, conditional = davenport_value(G, data_path=data_path)
+    D, _, conditional = davenport_value(G)
     if conditional:
         raise InvalidInputError(f"D({G}) is not exactly known")
     if not G.exponent + 1 <= k <= D:
@@ -259,7 +257,6 @@ def lemma_3_6_property(
     trials: int | None = None,
     seed: int = 0,
     cfg: SearchConfig | None = None,
-    data_path=None,
 ) -> PropertyReport:
     """Appending any element twice to a minimal zero-sum sequence of length
     D-1 forces a zero-sum subsequence of length <= D-2, for rank >= 2 groups
@@ -272,7 +269,7 @@ def lemma_3_6_property(
         raise InvalidInputError("need rank >= 2")
     if G.rank == 2 and G.factors[0] == 2:
         raise InvalidInputError(f"{G} has the excluded form C_2 + C_2m")
-    D, _, conditional = davenport_value(G, cfg, data_path)
+    D, _, conditional = davenport_value(G, cfg)
     if conditional:
         raise InvalidInputError(f"D({G}) is not exactly known")
     minimal = enumerate_minimal_zero_sum(G, D - 1, cfg)
@@ -356,9 +353,9 @@ class ConjectureReport:
     kexp_rows: tuple[KexpRow, ...]
 
 
-def _bundled_row(G, m, data_path) -> tuple[int | None, bool, str]:
+def _bundled_row(G, m) -> tuple[int | None, bool, str]:
     """(value, is_lower_bound, source) for s_leq(G, m) from published data."""
-    hit = known_s_leq(G, m, path=data_path)
+    hit = known_s_leq(G, m)
     if hit is None:
         return None, False, "missing"
     return hit.value, False, hit.source
@@ -377,7 +374,6 @@ def conjecture_harness(
     G: GroupSpec,
     source: str = "computed",
     cfg: SearchConfig | None = None,
-    data_path=None,
 ) -> ConjectureReport:
     """Tabulate s_leq(G, D-j) against D+j for D-j in [exp(G), D-1], locate
     the threshold k_G (least m such that every row with m' >= m holds), and
@@ -391,12 +387,12 @@ def conjecture_harness(
     if source not in ("computed", "bundled"):
         raise InvalidInputError(f"unknown source {source!r}")
     if source == "bundled":
-        hit = known_davenport(G, path=data_path)
+        hit = known_davenport(G)
         if hit is None:
             raise InvalidInputError(f"no bundled D({G})")
         D, d_source = hit.value, hit.source
     else:
-        D, d_source, conditional = davenport_value(G, cfg, data_path)
+        D, d_source, conditional = davenport_value(G, cfg)
         if conditional:
             raise InvalidInputError(f"D({G}) is not exactly known at desk scale")
 
@@ -404,7 +400,7 @@ def conjecture_harness(
     for j in range(1, D - G.exponent + 1):
         m = D - j
         if source == "bundled":
-            value, is_lower_bound, row_source = _bundled_row(G, m, data_path)
+            value, is_lower_bound, row_source = _bundled_row(G, m)
         else:
             value, is_lower_bound, row_source = _computed_row(G, m, cfg)
         bound = D + j
@@ -438,7 +434,7 @@ def conjecture_harness(
 
     kexp_rows = []
     for k in range(1, D // G.exponent + 2):
-        hit = known_s_kexp(G, k, path=data_path)
+        hit = known_s_kexp(G, k)
         if hit is None:
             continue
         kexp = k * G.exponent

@@ -118,6 +118,7 @@ class TestConstructAndVerify:
     def test_construct_invalid_params_exit_1(self):
         assert run_cli("construct", "lowercnr", "3", "1", "0").returncode == 1
         assert run_cli("construct", "inv2", "4", "3", "--x", "2").returncode == 1
+        assert run_cli("construct", "inv2", "3", "2", "--xs", "5,5,5").returncode == 1
 
     def test_verify_pass_and_fail_both_exit_0(self):
         good = run_cli(
@@ -220,6 +221,14 @@ class TestTheorems:
     def test_text_format(self):
         proc = run_cli("theorems", "C3^3", "--format", "text", check=True)
         assert "thm_1_8 on C3^3: claims s_leq(5) <= 9" in proc.stdout
+
+    def test_no_data_override(self):
+        # The packaged table is the only reference table.
+        for sub in ("theorems", "conjectures"):
+            proc = run_cli(sub, "C3^3", "--data", "x")
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("usage:")
+            assert "error: unrecognized arguments: --data x" in proc.stderr
 
 
 ROW_KEYS = ["j", "m", "value", "is_lower_bound", "bound", "holds", "source"]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import zerosum.constructions as constructions
 from zerosum import (
     InvalidInputError,
     InvalidParamsError,
@@ -116,6 +117,14 @@ class TestInverseFamilies:
         with pytest.raises(InvalidParamsError):
             build_inv2(4, 2, x=1)  # middle k takes no parameters
         with pytest.raises(InvalidParamsError):
+            build_inv2(3, 2, xs=(5, 5, 5))  # k = n-1 takes x, not xs
+        with pytest.raises(InvalidParamsError):
+            build_inv2(4, 1, x=2)  # k = 1 takes xs, not x
+        with pytest.raises(InvalidParamsError):
+            build_inv2(4, 0, x=1)  # k = 0 takes xs, not x
+        with pytest.raises(InvalidParamsError):
+            build_inv2(2, 1, xs=(0, 1))  # for n = 2, k = 1 is k = n-1
+        with pytest.raises(InvalidParamsError):
             build_inv2(3, 1, xs=(1, 1, 1))  # sum = 3 = 0 mod 3, not 1
         with pytest.raises(InvalidParamsError):
             build_inv2(3, 3)  # k out of range
@@ -171,6 +180,17 @@ class TestMatcher:
         # one element repeated: has a length-3 zero-sum, cannot be extremal
         T = Sequence.parse(C32, "1,0^6")
         assert not match_inverse_structure(T, 3, 2)
+
+    def test_family_built_once_per_n_and_k(self, monkeypatch):
+        S = inverse_family_members(7, 1)[0]
+        first = match_inverse_structure(S, 7, 1)
+        assert first
+
+        def rebuilt(n, k):
+            raise AssertionError(f"family ({n}, {k}) rebuilt")
+
+        monkeypatch.setattr(constructions, "inverse_family_members", rebuilt)
+        assert match_inverse_structure(S, 7, 1) == first
 
     def test_wrong_length_raises(self):
         with pytest.raises(InvalidInputError):

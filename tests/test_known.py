@@ -11,6 +11,7 @@ from zerosum import (
     load_bundled,
     make_group,
 )
+from zerosum.known import _parse_rows
 
 C33 = make_group([3, 3, 3])
 C53 = make_group([5, 5, 5])
@@ -32,7 +33,7 @@ class TestBundledFile:
     def test_custom_file(self, tmp_path):
         f = tmp_path / "values.txt"
         f.write_text("# comment\n\nC7^2; davenport; -; 13; XYZ99\n")
-        rows = load_bundled(f)
+        rows = _parse_rows(f.read_text(), str(f))
         assert len(rows) == 1
         assert rows[0].group == make_group([7, 7])
         assert rows[0].param is None
@@ -52,7 +53,7 @@ class TestBundledFile:
         f = tmp_path / "bad.txt"
         f.write_text("# header\n" + line + "\n")
         with pytest.raises(InvalidInputError) as err:
-            load_bundled(f)
+            _parse_rows(f.read_text(), str(f))
         assert ":2:" in str(err.value)
         assert fragment in str(err.value)
 
@@ -99,7 +100,7 @@ class TestKnownSLeq:
 
     def test_prime_power_formulas(self):
         # D - 2 row for C_p^r with 3 <= r < p
-        hit = known_s_leq(C53, 11, path=None)
+        hit = known_s_leq(C53, 11)
         assert hit.value == 14  # bundled S10 row wins ...
         assert hit.source == "S10"
         # ... and agrees with the closed form when the table is absent
