@@ -22,7 +22,7 @@ computed answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 
@@ -196,45 +196,29 @@ class PDecomposition:
 
     When c = c1 * p^t with p not dividing c1 and c1 <= p-1, the refined
     fields t, c1 and the split u = u1 * p^t + u2 (kept only when
-    u1 in [1, p-1]) are populated; otherwise they are None.
+    u1 in [1, p-1]) are populated; otherwise they are None.  Built from
+    (p, T_len, k) alone; the other fields are computed from them.
     """
 
     p: int
     T_len: int
     k: int
-    u: int
-    v: int
-    c: int
-    d: int
-    t: int | None = None
-    c1: int | None = None
-    u1: int | None = None
-    u2: int | None = None
+    u: int = field(init=False)
+    v: int = field(init=False)
+    c: int = field(init=False)
+    d: int = field(init=False)
+    t: int | None = field(init=False)
+    c1: int | None = field(init=False)
+    u1: int | None = field(init=False)
+    u2: int | None = field(init=False)
 
     def __post_init__(self):
-        _require_prime(self.p)
+        p = self.p
+        _require_prime(p)
         if self.k < 1 or self.T_len < self.k:
             raise InvalidInputError("need 1 <= k <= T_len")
-        if (self.u, self.v) != divmod(self.T_len - self.k, self.p):
-            raise InvalidInputError("u, v do not decompose T_len - k")
-        if (self.c, self.d) != divmod(self.k, self.p):
-            raise InvalidInputError("c, d do not decompose k")
-        if self.t is not None:
-            pt = self.p**self.t
-            if self.c1 is None or not 1 <= self.c1 <= self.p - 1 or self.c1 * pt != self.c:
-                raise InvalidInputError("t, c1 do not decompose c")
-            if self.u1 is not None:
-                if self.u2 is None or self.u1 * pt + self.u2 != self.u:
-                    raise InvalidInputError("u1, u2 do not decompose u")
-                if not 1 <= self.u1 <= self.p - 1 or not 0 <= self.u2 <= pt - 1:
-                    raise InvalidInputError("u1 or u2 out of range")
-
-    @classmethod
-    def from_lengths(cls, T_len: int, k: int, p: int) -> "PDecomposition":
-        if p < 2:  # the loop below needs p >= 2; __post_init__ checks primality
-            raise InvalidInputError(f"p = {p} is not prime")
-        u, v = divmod(T_len - k, p)
-        c, d = divmod(k, p)
+        u, v = divmod(self.T_len - self.k, p)
+        c, d = divmod(self.k, p)
         t = c1 = u1 = u2 = None
         if c >= 1:
             t_try = 0
@@ -247,7 +231,9 @@ class PDecomposition:
                 hi, lo = divmod(u, p**t_try)
                 if 1 <= hi <= p - 1:
                     u1, u2 = hi, lo
-        return cls(p, T_len, k, u, v, c, d, t, c1, u1, u2)
+        for name, value in zip(("u", "v", "c", "d", "t", "c1", "u1", "u2"),
+                               (u, v, c, d, t, c1, u1, u2)):
+            object.__setattr__(self, name, value)
 
     @property
     def has_refined_shape(self) -> bool:
@@ -388,7 +374,7 @@ def zerosub_guarantee(T: Sequence, k: int, p: int, D: int) -> CriterionReport:
     if len(T) < 2 * k:
         raise InvalidInputError(f"need |T| >= 2k, got |T| = {len(T)}")
     T_len = len(T)
-    dec = PDecomposition.from_lengths(T_len, k, p)
+    dec = PDecomposition(p, T_len, k)
     window = 2 * k - D
     nonzero = dict(_nonzero_a(T_len - k, k, p, window))
     a_values = tuple((i, nonzero.get(i, 0)) for i in range(1, window + 1))

@@ -21,9 +21,10 @@ and the DFS walks the other bits in ascending order.  Appending g translates
 the rows by -g, one masked rotation per nonzero coordinate of g, and ORs the
 result one row up (into the same row when it is self-closed).
 
-One iterative DFS serves every caller: it maximizes the length, and can
-also collect every sequence of a fixed length (for partitioning the tree
-into subtasks, and for ``enumerate_extremal``).
+One iterative DFS, ``_dfs``, serves every caller and returns one named
+``_Outcome``: it maximizes the length, and can also collect every sequence
+of a fixed length (for partitioning the tree into subtasks, and for
+``enumerate_extremal``).
 
 The maximization is a branch-and-bound.  In an L-free sequence g appears at
 most cap(g) = min{l in L : ord(g) | l} - 1 times (the horizon when no such
@@ -58,6 +59,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .groups import GroupSpec, _invertible_matrices, d_star, group_table, is_prime, orbit_minima
@@ -90,7 +92,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.node_budget < 1:
             raise InvalidInputError("node_budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:
             raise InvalidInputError("time_budget must be positive")
         if self.horizon is not None and self.horizon < 1:
             raise InvalidInputError("horizon must be >= 1")
@@ -195,17 +197,34 @@ def _translate(x: int, moves) -> int:
     return x
 
 
-class _Search:
+class _Outcome(NamedTuple):
+    """What one DFS call found: the best length (-1 if no node was visited)
+    and its index stack, the nodes visited and candidates banned, whether a
+    budget stopped it or a node reached the horizon, and the sequences of
+    length ``cap`` collected (empty unless collecting)."""
+
+    best: int
+    best_stack: tuple[int, ...] | None
+    nodes: int
+    pruned: int
+    stopped: bool
+    hit_horizon: bool
+    found: list[tuple[int, ...]]
+
+
+def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _Outcome:
     """One DFS over the canonical L-free multisets extending a prefix.
 
-    ``run(cap)`` visits them in lexicographic order down to length ``cap``,
-    keeping the longest one met first (the lexicographically least of that
-    length); with ``collect`` it also records every one of length ``cap``.
-    A node of length >= horizon is not expanded and marks the search as cut
-    at the horizon.  Every visited node counts against the node budget, the
-    root included; reaching it, or passing the deadline, stops the search
-    with ``stopped`` set.  ``symmetry`` is None, "flag" (the flag trick) or
-    "roots" (the root's children are orbit minima; only without a prefix).
+    It visits them in lexicographic order down to length ``cap``, keeping
+    the longest one met first (the lexicographically least of that length);
+    with ``collect`` it also records every one of length ``cap``.  A node of
+    length >= horizon is not expanded and marks the search as cut at the
+    horizon.  Every visited node counts against the node budget, the root
+    included; a search of N nodes fits in a budget of N, and one that needs
+    more, or passes the deadline, stops with ``stopped`` set.  ``symmetry``
+    is None, "flag" (the flag trick) or "roots" (the root's children are
+    orbit minima; only without a prefix).  Pool workers run it too, so its
+    arguments pickle.
 
     Without ``collect``, and off the self-closed layout, a node's children
     are dropped when its length plus the multiplicity caps of its admissible
@@ -216,167 +235,139 @@ class _Search:
     its own ``best``, never a sibling's, so node counts do not depend on
     scheduling or worker count.
     """
+    table = group_table(G)
+    m = len(table.elements)
+    factors = G.factors
+    rows, closed, at_most, banned_rows = _layout(L, horizon)
+    # The bound is off on the self-closed layout: there cap = ord - 1, too
+    # weak to pay for itself.
+    caps = None if closed or collect else _multiplicity_caps(G, L.mask(horizon), horizon)
+    row = (1 << m) - 1
+    full = (1 << rows * m) - 1
+    step = 0 if closed else m
+    top = (rows - 1) * m if rows else 0
+    lower = tuple(r * m for r in banned_rows if r < rows - 1)
+    moves: list = [None] * m
 
-    def __init__(self, G, L, horizon, node_budget, deadline, symmetry, prefix):
-        table = group_table(G)
-        self.table = table
-        self.m = m = len(table.elements)
-        self.factors = G.factors
-        self.horizon = horizon
-        self.node_budget = node_budget
-        self.deadline = deadline
-        rows, closed, at_most, banned = _layout(L, horizon)
-        # The bound is off on the self-closed layout: there cap = ord - 1,
-        # too weak to pay for itself.
-        self.caps = None if closed else _multiplicity_caps(G, L.mask(horizon), horizon)
-        self.rows = rows
-        self.full = (1 << rows * m) - 1
-        self.step = 0 if closed else m
-        self.top = (rows - 1) * m if rows else 0
-        self.lower_bans = tuple(r * m for r in banned if r < rows - 1)
-        self._moves: list = [None] * m
-        self.nodes = 0
-        self.pruned = 0
-        self.best = -1
-        self.best_stack: tuple[int, ...] | None = None
-        self.hit_horizon = False
-        self.stopped = False
-        self.found: list[tuple[int, ...]] = []
-
-        # The empty subsequence sums to 0 with length 0.
-        state = self.full // ((1 << m) - 1) if at_most else 1 & self.full
-        for gi in prefix:
-            state |= (_translate(state, self._move(gi)) << self.step) & self.full
-        self.prefix = tuple(prefix)
-        self.state = state
-
-        self.span = (1 << m) - 1  # without symmetry every element counts as inside
-        self.dim = 0
-        self.flag_bits = None
-        self.roots = orbit_minima(G) if symmetry == "roots" and not prefix else (1 << m) - 1
-        if symmetry == "flag":
-            self.sym_n = G.exponent
-            self.flag_bits = [1 << G.exponent**j for j in range(G.rank)] + [0]
-            self.span = 1  # the zero element
-            for gi in prefix:
-                if not self.span >> gi & 1:
-                    self.span = self._grow(self.span, gi)
-                    self.dim += 1
-
-    def _move(self, gi):
+    def move_by(gi):
         """The translation by -g, built on first use."""
-        move = self._moves[gi]
+        move = moves[gi]
         if move is None:
-            coords = self.table.elements[self.table.neg[gi]]
-            move = self._moves[gi] = _translation(self.factors, self.rows, coords)
+            move = moves[gi] = _translation(factors, rows, table.elements[table.neg[gi]])
         return move
 
-    def _grow(self, span, gi):
+    def grow(span, gi):
         """The subgroup generated by ``span`` and g, as an |G|-bit int."""
-        move = self._move(gi)
+        move = move_by(gi)
         new = cur = span
-        for _ in range(self.sym_n - 1):
+        for _ in range(G.exponent - 1):
             cur = _translate(cur, move)
             new |= cur
         return new
 
-    def run(self, cap: int, collect: bool = False) -> None:
-        # The state update and banned set below inline _move and _translate:
-        # they run once per node.
-        row = (1 << self.m) - 1
-        full, step, top, lower = self.full, self.step, self.top, self.lower_bans
-        moves = self._moves
-        horizon = self.horizon
-        flag_bits, roots = self.flag_bits, self.roots
-        found = self.found if collect else None
-        caps = None if collect else self.caps
-        budget, deadline = self.node_budget, self.deadline
-        nodes, pruned, best, best_stack = self.nodes, self.pruned, self.best, self.best_stack
-        hit = self.hit_horizon
-        stopped = False
-        # Node count at which to look at the budget and the clock next.
-        check = budget if deadline is None else min(budget, nodes - nodes % 4096 + 4096)
+    # The empty subsequence sums to 0 with length 0.
+    y = full // row if at_most else 1 & full
+    for gi in prefix:
+        y |= (_translate(y, move_by(gi)) << step) & full
 
-        base = len(self.prefix)
-        seq = list(self.prefix) + [0] * max(cap - base, 0)
-        frames: list[list] = []  # per expanded node: [state, unvisited children, span, dim]
-        y, span, dim = self.state, self.span, self.dim
-        start = self.prefix[-1] if base else 0
-        depth = base
-        while True:
-            # Visit the node seq[:depth] with state y.
-            nodes += 1
-            if nodes >= check:
-                if nodes >= budget or time.monotonic() > deadline:
-                    stopped = True
-                    break
-                check = min(budget, nodes + 4096)
-            if depth > best:
-                best = depth
-                best_stack = tuple(seq[:depth])
-            if depth >= cap:
-                if depth >= horizon:
-                    hit = True
-                if found is not None:
-                    found.append(tuple(seq[:depth]))
-            else:
-                banned = y >> top
-                for off in lower:
-                    banned |= (y >> off) & row
-                banned >>= start
-                pruned += banned.bit_count()
-                avail = ((row >> start) ^ banned) << start
-                if caps is not None and avail and depth < best:
-                    # Every later term is in avail, g at most cap(g) times;
-                    # room is depth + that bound - best.
-                    room = depth - best
-                    for c, elements in caps:
-                        room += c * (avail & elements).bit_count()
-                    if room > 0 and avail & 1 << start:
-                        # Less the copies of start already used.
-                        i = depth - 1
-                        while room > 0 and i >= 0 and seq[i] == start:
-                            room -= 1
-                            i -= 1
-                    if room <= 0:
-                        avail = 0
-                if flag_bits is not None:
-                    avail &= span | flag_bits[dim]
-                elif not frames:  # the root
-                    avail &= roots
-                if avail:
-                    frames.append([y, avail, span, dim])
-
-            # Move to the next unvisited child of the deepest open node.
-            while frames:
-                frame = frames[-1]
-                avail = frame[1]
-                if avail:
-                    break
-                frames.pop()
-            else:
-                break
-            low = avail & -avail
-            frame[1] = avail ^ low
-            start = low.bit_length() - 1
-            depth = base + len(frames)
-            seq[depth - 1] = start
-            x = frame[0]
-            move = moves[start]
-            if move is None:
-                move = self._move(start)
-            y = x
-            for lo, hi, up, down in move:
-                y = ((y & lo) << up) | ((y & hi) >> down)
-            y = x | ((y << step) & full)
-            span, dim = frame[2], frame[3]
-            if flag_bits is not None and not span >> start & 1:
-                span = self._grow(span, start)
+    span = row  # without symmetry every element counts as inside
+    dim = 0
+    flag_bits = None
+    roots = orbit_minima(G) if symmetry == "roots" and not prefix else row
+    if symmetry == "flag":
+        flag_bits = [1 << G.exponent**j for j in range(G.rank)] + [0]
+        span = 1  # the zero element
+        for gi in prefix:
+            if not span >> gi & 1:
+                span = grow(span, gi)
                 dim += 1
 
-        self.nodes, self.pruned, self.best, self.best_stack = nodes, pruned, best, best_stack
-        self.hit_horizon = hit
-        self.stopped = stopped
+    # The state update and banned set below inline move_by and _translate:
+    # they run once per node.
+    found: list[tuple[int, ...]] = []
+    nodes = pruned = 0
+    best, best_stack = -1, None
+    hit = stopped = False
+    # Node count at which to look at the budget and the clock next.
+    check = node_budget if deadline is None else min(node_budget, 4096)
+
+    base = len(prefix)
+    seq = list(prefix) + [0] * max(cap - base, 0)
+    frames: list[list] = []  # per expanded node: [state, unvisited children, span, dim]
+    start = prefix[-1] if base else 0
+    depth = base
+    while True:
+        # Visit the node seq[:depth] with state y, if the budget allows.
+        if nodes >= check:
+            if nodes >= node_budget or time.monotonic() > deadline:
+                stopped = True
+                break
+            check = min(node_budget, nodes + 4096)
+        nodes += 1
+        if depth > best:
+            best = depth
+            best_stack = tuple(seq[:depth])
+        if depth >= cap:
+            if depth >= horizon:
+                hit = True
+            if collect:
+                found.append(tuple(seq[:depth]))
+        else:
+            banned = y >> top
+            for off in lower:
+                banned |= (y >> off) & row
+            banned >>= start
+            pruned += banned.bit_count()
+            avail = ((row >> start) ^ banned) << start
+            if caps is not None and avail and depth < best:
+                # Every later term is in avail, g at most cap(g) times;
+                # room is depth + that bound - best.
+                room = depth - best
+                for c, elements in caps:
+                    room += c * (avail & elements).bit_count()
+                if room > 0 and avail & 1 << start:
+                    # Less the copies of start already used.
+                    i = depth - 1
+                    while room > 0 and i >= 0 and seq[i] == start:
+                        room -= 1
+                        i -= 1
+                if room <= 0:
+                    avail = 0
+            if flag_bits is not None:
+                avail &= span | flag_bits[dim]
+            elif not frames:  # the root
+                avail &= roots
+            if avail:
+                frames.append([y, avail, span, dim])
+
+        # Move to the next unvisited child of the deepest open node.
+        while frames:
+            frame = frames[-1]
+            avail = frame[1]
+            if avail:
+                break
+            frames.pop()
+        else:
+            break
+        low = avail & -avail
+        frame[1] = avail ^ low
+        start = low.bit_length() - 1
+        depth = base + len(frames)
+        seq[depth - 1] = start
+        x = frame[0]
+        move = moves[start]
+        if move is None:
+            move = move_by(start)
+        y = x
+        for lo, hi, up, down in move:
+            y = ((y & lo) << up) | ((y & hi) >> down)
+        y = x | ((y << step) & full)
+        span, dim = frame[2], frame[3]
+        if flag_bits is not None and not span >> start & 1:
+            span = grow(span, start)
+            dim += 1
+
+    return _Outcome(best, best_stack, nodes, pruned, stopped, hit, found)
 
 
 def _effective_horizon(G: GroupSpec, cfg: SearchConfig) -> int:
@@ -396,16 +387,7 @@ def _deadline(cfg: SearchConfig) -> float | None:
     return time.monotonic() + cfg.time_budget if cfg.time_budget else None
 
 
-def _search_below(G, L, horizon, node_budget, deadline, symmetry, prefix):
-    """Maximize below ``prefix``: (best, best stack, nodes, pruned, stopped,
-    hit horizon).  Runs in pool workers too, so its arguments pickle."""
-    search = _Search(G, L, horizon, node_budget, deadline, symmetry, prefix)
-    search.run(horizon)
-    return (search.best, search.best_stack, search.nodes, search.pruned,
-            search.stopped, search.hit_horizon)
-
-
-def _run_partitioned(G, L, cfg, depth, horizon, symmetry):
+def _run_partitioned(G, L, cfg, depth, horizon, symmetry) -> _Outcome:
     """Split the DFS tree at ``depth`` into independent subtasks.
 
     Outcomes merge in tree order, so ties keep the serial witness, and the
@@ -414,39 +396,37 @@ def _run_partitioned(G, L, cfg, depth, horizon, symmetry):
     that budget.  The outcome does not depend on scheduling or worker count.
     """
     deadline = _deadline(cfg)
-    split = _Search(G, L, horizon, cfg.node_budget, deadline, symmetry, ())
-    split.run(min(depth, horizon), collect=True)
-    best, best_stack = split.best, split.best_stack
-    nodes, pruned = split.nodes, split.pruned
-    stopped, hit_horizon = split.stopped, split.hit_horizon
-    if stopped or not split.found:
+    split = _dfs(G, L, horizon, cfg.node_budget, deadline, symmetry, (), min(depth, horizon),
+                 collect=True)
+    if split.stopped or not split.found:
         # Cut during the partition phase, or the whole tree is shallower
         # than the partition depth: that search is the answer.
-        return best, best_stack, nodes, pruned, stopped, hit_horizon
+        return split
+    best, best_stack = split.best, split.best_stack
+    nodes, pruned, stopped, hit_horizon = split.nodes, split.pruned, False, split.hit_horizon
     futures = [None] * len(split.found)
     pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
     try:
         if pool is not None:
-            futures = [pool.submit(_search_below, G, L, horizon, cfg.node_budget - nodes,
-                                   deadline, symmetry, pfx) for pfx in split.found]
+            futures = [pool.submit(_dfs, G, L, horizon, cfg.node_budget - nodes, deadline,
+                                   symmetry, pfx, horizon) for pfx in split.found]
         for pfx, future in zip(split.found, futures):
             left = cfg.node_budget - nodes
-            outcome = future.result() if future is not None else None
-            if outcome is None or outcome[2] >= left:
-                outcome = _search_below(G, L, horizon, left, deadline, symmetry, pfx)
-            sub_best, sub_stack, sub_nodes, sub_pruned, sub_stopped, sub_hit = outcome
-            if sub_best > best:
-                best, best_stack = sub_best, sub_stack
-            nodes += sub_nodes
-            pruned += sub_pruned
-            hit_horizon = hit_horizon or sub_hit
-            if sub_stopped:
+            sub = future.result() if future is not None else None
+            if sub is None or sub.nodes > left:
+                sub = _dfs(G, L, horizon, left, deadline, symmetry, pfx, horizon)
+            if sub.best > best:
+                best, best_stack = sub.best, sub.best_stack
+            nodes += sub.nodes
+            pruned += sub.pruned
+            hit_horizon = hit_horizon or sub.hit_horizon
+            if sub.stopped:
                 stopped = True
                 break
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return best, best_stack, nodes, pruned, stopped, hit_horizon
+    return _Outcome(best, best_stack, nodes, pruned, stopped, hit_horizon, [])
 
 
 def _sequence_from_indices(G: GroupSpec, indices) -> Sequence:
@@ -481,16 +461,17 @@ def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchRe
     if depth > 0:
         outcome = _run_partitioned(G, L, cfg, depth, horizon, symmetry)
     else:
-        outcome = _search_below(G, L, horizon, cfg.node_budget, _deadline(cfg), symmetry, ())
-    best, best_stack, nodes, pruned, stopped, hit_horizon = outcome
+        outcome = _dfs(G, L, horizon, cfg.node_budget, _deadline(cfg), symmetry, (), horizon)
+    best = outcome.best
 
     seconds = time.monotonic() - t0
-    complete = not stopped and not hit_horizon
-    witness = _sequence_from_indices(G, best_stack) if best_stack is not None else None
+    complete = not outcome.stopped and not outcome.hit_horizon
+    witness = (_sequence_from_indices(G, outcome.best_stack)
+               if outcome.best_stack is not None else None)
     value = best + 1 if complete and best >= 0 else None
     best_length = best if best >= 0 else None
     return SearchResult(G, L, value, False, complete, witness, best_length,
-                        SearchStats(nodes, pruned, seconds))
+                        SearchStats(outcome.nodes, outcome.pruned, seconds))
 
 
 # --- named invariants -------------------------------------------------------
@@ -545,13 +526,12 @@ def enumerate_extremal(G: GroupSpec, L: LengthSet, length: int,
     if up_to_automorphism:
         _invertible_matrices(G)  # refuses an unsupported G before the search
     cfg = cfg or SearchConfig()
-    search = _Search(G, L, max(length, 1), cfg.node_budget, _deadline(cfg),
-                     "roots" if up_to_automorphism else None, ())
-    search.run(length, collect=True)
-    seqs = [_sequence_from_indices(G, idx) for idx in search.found]
+    outcome = _dfs(G, L, max(length, 1), cfg.node_budget, _deadline(cfg),
+                   "roots" if up_to_automorphism else None, (), length, collect=True)
+    seqs = [_sequence_from_indices(G, idx) for idx in outcome.found]
     if up_to_automorphism:
         seqs = [S for S in seqs if orbit_canonical(S) == S]
-    return ExtremalSet(G, L, length, tuple(seqs), up_to_automorphism, not search.stopped)
+    return ExtremalSet(G, L, length, tuple(seqs), up_to_automorphism, not outcome.stopped)
 
 
 def enumerate_minimal_zero_sum(G: GroupSpec, length: int,

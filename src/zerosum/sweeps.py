@@ -100,7 +100,7 @@ def sweep_i0(ps=(3, 5, 7), ts=(0, 1), max_T: int = 400) -> SweepOutcome:
                                     continue
                                 rec.case()
                                 label = f"p={p} t={t} c1={c1} d={d} u1={u1} u2={u2} v={v}"
-                                dec = PDecomposition.from_lengths(T_len, k, p)
+                                dec = PDecomposition(p, T_len, k)
                                 if (dec.t, dec.c1, dec.u1, dec.u2, dec.d, dec.v) != (
                                     t, c1, u1, u2, d, v,
                                 ):
@@ -117,7 +117,7 @@ def sweep_i0(ps=(3, 5, 7), ts=(0, 1), max_T: int = 400) -> SweepOutcome:
                             continue
                         rec.case()
                         label = f"p={p} general c={c} u={u} d={d} v={v}"
-                        _check_i0_tuple(rec, label, PDecomposition.from_lengths(T_len, k, p))
+                        _check_i0_tuple(rec, label, PDecomposition(p, T_len, k))
     return rec.outcome()
 
 

@@ -146,8 +146,8 @@ def check_thm_1_9(G: GroupSpec, k: int) -> TheoremClaim:
     if not G.exponent + 1 <= k <= D:
         raise InvalidInputError(f"need k in [exp+1, D] = [{G.exponent + 1}, {D}], got {k}")
     # k = c*p + d with c = c1 * p^t: the digits of k alone, read from the
-    # pair (2k, k), which from_lengths always accepts.
-    dec = PDecomposition.from_lengths(2 * k, k, p)
+    # pair (2k, k), which the constructor always accepts.
+    dec = PDecomposition(p, 2 * k, k)
     if dec.c < 1:
         raise InvalidInputError(f"k = {k} has no digit shape c1*p^(t+1)+d with c1 >= 1")
     if dec.t is None:

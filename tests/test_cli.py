@@ -80,6 +80,12 @@ class TestInvariant:
         proc = run_cli("invariant", "C3^2", "--leq", "3", "--davenport")
         assert_usage_error(proc.returncode, proc.stderr, "invariant")
 
+    def test_nan_time_budget_exit_1(self):
+        proc = run_cli("invariant", "C3", "--davenport", "--budget-seconds", "nan")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "time_budget must be positive" in proc.stderr
+
     def test_bad_group_exit_1(self):
         proc = run_cli("invariant", "spam", "--davenport")
         assert proc.returncode == 1
@@ -226,9 +232,8 @@ class TestTheorems:
         # The packaged table is the only reference table.
         for sub in ("theorems", "conjectures"):
             proc = run_cli(sub, "C3^3", "--data", "x")
-            assert proc.returncode == 1
-            assert proc.stderr.startswith("usage:")
-            assert "error: unrecognized arguments: --data x" in proc.stderr
+            assert_usage_error(proc.returncode, proc.stderr, sub)
+            assert proc.stderr.endswith(f"zerosum {sub}: error: unrecognized arguments: --data x\n")
 
 
 ROW_KEYS = ["j", "m", "value", "is_lower_bound", "bound", "holds", "source"]

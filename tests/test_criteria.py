@@ -1,6 +1,7 @@
 """Congruence criteria for short zero-sum subsequences: binomial arithmetic,
 the a_i table, digit-shape predictions, and the end-to-end guarantee."""
 
+import dataclasses
 import math
 import random
 
@@ -188,86 +189,63 @@ class TestScanKernelExact:
 
 class TestDecomposition:
     def test_from_lengths_round_trip(self):
-        dec = PDecomposition.from_lengths(25, 9, 5)
+        dec = PDecomposition(5, 25, 9)
         assert (dec.u, dec.v, dec.c, dec.d) == (3, 1, 1, 4)
         assert dec.t == 0 and dec.c1 == 1
         assert dec.has_refined_shape and (dec.u1, dec.u2) == (3, 0)
 
     def test_refined_shape_absent(self):
-        dec = PDecomposition.from_lengths(14, 5, 3)
+        dec = PDecomposition(3, 14, 5)
         assert not dec.has_refined_shape
         assert dec.u1 is None and dec.u2 is None
 
     def test_invariants_enforced(self):
-        with pytest.raises(InvalidInputError):
+        # The digit fields are computed, so none can be passed or set.
+        with pytest.raises(TypeError):
             PDecomposition(p=3, T_len=11, k=5, u=9, v=0, c=1, d=2, t=0, c1=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PDecomposition(3, 11, 5).u = 9
 
     def test_requires_prime(self):
         with pytest.raises(InvalidInputError):
-            PDecomposition.from_lengths(11, 5, 4)
+            PDecomposition(4, 11, 5)
 
-    def test_from_lengths_passes_every_direct_check(self):
-        # A direct construction from the fields from_lengths reads must
-        # accept them and equal it.
-        fields = ("p", "T_len", "k", "u", "v", "c", "d", "t", "c1", "u1", "u2")
+    def test_computed_fields_decompose(self):
+        # The computed digits satisfy their defining equations and ranges,
+        # and the refined fields are present exactly when the shape exists.
         for p in (2, 3, 5, 7):
             for T_len in range(1, 80):
                 for k in range(1, T_len + 1):
-                    dec = PDecomposition.from_lengths(T_len, k, p)
-                    assert PDecomposition(**{f: getattr(dec, f) for f in fields}) == dec
-
-    def test_every_valid_digit_tuple_constructs(self):
-        # With T_len >= 2k the other checks already force u1 >= c1: u >= c,
-        # u = u1*p^t + u2 with u2 < p^t and c = c1*p^t.  So every digit
-        # tuple that decomposes (T_len, k) constructs, refined or not.
-        for p in (2, 3, 5, 7):
-            for T_len in range(2, 80):
-                for k in range(1, T_len // 2 + 1):
-                    u, v = divmod(T_len - k, p)
-                    c, d = divmod(k, p)
-                    base = dict(p=p, T_len=T_len, k=k, u=u, v=v, c=c, d=d)
-                    tuples = [base]
-                    t = 0
-                    while p**t <= c:
-                        pt = p**t
-                        for c1 in range(1, p):
-                            if c1 * pt != c:
-                                continue
-                            tuples.append(dict(base, t=t, c1=c1))
-                            for u1 in range(1, p):
-                                for u2 in range(pt):
-                                    if u1 * pt + u2 == u:
-                                        assert u1 >= c1
-                                        tuples.append(dict(base, t=t, c1=c1, u1=u1, u2=u2))
+                    dec = PDecomposition(p, T_len, k)
+                    assert (dec.u, dec.v) == divmod(T_len - k, p)
+                    assert (dec.c, dec.d) == divmod(k, p)
+                    c_free, t = dec.c, 0
+                    while c_free and c_free % p == 0:
+                        c_free //= p
                         t += 1
-                    for fields in tuples:
-                        PDecomposition(**fields)
+                    if not 1 <= c_free <= p - 1:
+                        assert dec.t is dec.c1 is dec.u1 is dec.u2 is None
+                        continue
+                    pt = p**t
+                    assert (dec.t, dec.c1) == (t, c_free) and dec.c1 * pt == dec.c
+                    assert (dec.u1 is None) == (not 1 <= dec.u // pt <= p - 1)
+                    if dec.u1 is None:
+                        assert dec.u2 is None
+                    else:
+                        assert 1 <= dec.u1 <= p - 1 and 0 <= dec.u2 <= pt - 1
+                        assert dec.u1 * pt + dec.u2 == dec.u
 
     @pytest.mark.parametrize("T_len,k", [(5, 0), (4, 5), (3, -1)])
     def test_from_lengths_rejects_bad_lengths(self, T_len, k):
         with pytest.raises(InvalidInputError, match="need 1 <= k <= T_len"):
-            PDecomposition.from_lengths(T_len, k, 3)
+            PDecomposition(3, T_len, k)
 
     @pytest.mark.parametrize(
         "fields,message",
         [
-            (dict(p=4, T_len=11, k=5, u=1, v=2, c=1, d=1), "p = 4 is not prime"),
-            (dict(p=3, T_len=5, k=0, u=1, v=2, c=0, d=0), "need 1 <= k <= T_len"),
-            (dict(p=3, T_len=4, k=5, u=-1, v=2, c=1, d=2), "need 1 <= k <= T_len"),
-            (dict(p=3, T_len=11, k=5, u=1, v=3, c=1, d=2), "u, v do not decompose T_len - k"),
-            (dict(p=3, T_len=11, k=5, u=2, v=0, c=0, d=5), "c, d do not decompose k"),
-            (dict(p=3, T_len=11, k=5, u=2, v=0, c=1, d=2, t=0, c1=2), "t, c1 do not decompose c"),
-            (dict(p=3, T_len=11, k=5, u=2, v=0, c=1, d=2, t=0), "t, c1 do not decompose c"),
-            (dict(p=3, T_len=11, k=5, u=2, v=0, c=1, d=2, t=0, c1=1, u1=1, u2=0),
-             "u1, u2 do not decompose u"),
-            (dict(p=3, T_len=11, k=5, u=2, v=0, c=1, d=2, t=0, c1=1, u1=2),
-             "u1, u2 do not decompose u"),
-            (dict(p=3, T_len=20, k=5, u=5, v=0, c=1, d=2, t=0, c1=1, u1=5, u2=0),
-             "u1 or u2 out of range"),
-            (dict(p=3, T_len=29, k=12, u=5, v=2, c=4, d=0, t=1, c1=1, u1=1, u2=2),
-             "t, c1 do not decompose c"),
-            (dict(p=3, T_len=17, k=3, u=4, v=2, c=1, d=0, t=0, c1=1, u1=0, u2=4),
-             "u1 or u2 out of range"),
+            (dict(p=4, T_len=11, k=5), "p = 4 is not prime"),
+            (dict(p=3, T_len=5, k=0), "need 1 <= k <= T_len"),
+            (dict(p=3, T_len=4, k=5), "need 1 <= k <= T_len"),
         ],
     )
     def test_direct_construction_keeps_every_check(self, fields, message):
@@ -277,21 +255,21 @@ class TestDecomposition:
 
 class TestPredictI0:
     def test_exact_case(self):
-        pred = predict_i0(PDecomposition.from_lengths(11, 5, 3))
+        pred = predict_i0(PDecomposition(3, 11, 5))
         assert (pred.kind, pred.value) == ("exact", 2)
         assert first_nonzero_a_index(11, 5, 3, 40) == 2
 
     def test_needs_l0_cases(self):
-        pred = predict_i0(PDecomposition.from_lengths(20, 9, 5))
+        pred = predict_i0(PDecomposition(5, 20, 9))
         assert (pred.kind, pred.value, pred.l0) == ("needs_l0", 8, 1)
         assert first_nonzero_a_index(20, 9, 5, 40) == 8
 
-        pred = predict_i0(PDecomposition.from_lengths(25, 9, 5))
+        pred = predict_i0(PDecomposition(5, 25, 9))
         assert (pred.kind, pred.value, pred.l0) == ("needs_l0", 18, 3)
         assert first_nonzero_a_index(25, 9, 5, 40) == 18
 
     def test_lower_bound_case(self):
-        dec = PDecomposition.from_lengths(14, 5, 3)
+        dec = PDecomposition(3, 14, 5)
         pred = predict_i0(dec)
         assert (pred.kind, pred.value) == ("lower_bound", 5)
         # the bound is p + d - v and the true first index respects it
@@ -299,17 +277,17 @@ class TestPredictI0:
         assert first_nonzero_a_index(14, 5, 3, 40) == 6 >= 5
 
     def test_none_case(self):
-        pred = predict_i0(PDecomposition.from_lengths(6, 3, 2))
+        pred = predict_i0(PDecomposition(2, 6, 3))
         assert pred.kind == "none"
 
 
 class TestSufficientFlags:
     def test_check_4_7(self):
-        assert check_4_7(PDecomposition.from_lengths(11, 5, 3))
+        assert check_4_7(PDecomposition(3, 11, 5))
 
     def test_check_4_7_requires_refined_shape(self):
         with pytest.raises(InvalidInputError):
-            check_4_7(PDecomposition.from_lengths(14, 5, 3))
+            check_4_7(PDecomposition(3, 14, 5))
 
     def test_check_4_8_implies_4_7(self):
         # scan a grid: wherever the stronger digit condition holds, the
@@ -319,7 +297,7 @@ class TestSufficientFlags:
             for T_len in range(8, 60):
                 for k in range(4, T_len // 2 + 1):
                     try:
-                        dec = PDecomposition.from_lengths(T_len, k, p)
+                        dec = PDecomposition(p, T_len, k)
                     except InvalidInputError:
                         continue
                     if not dec.has_refined_shape:
@@ -330,10 +308,10 @@ class TestSufficientFlags:
         assert hits > 0
 
     def test_check_4_9(self):
-        assert check_4_9(PDecomposition.from_lengths(14, 7, 3))
-        assert check_4_9(PDecomposition.from_lengths(6, 3, 2))
+        assert check_4_9(PDecomposition(3, 14, 7))
+        assert check_4_9(PDecomposition(2, 6, 3))
         # a false case: flag congruent to zero
-        assert not check_4_9(PDecomposition.from_lengths(8, 4, 3))
+        assert not check_4_9(PDecomposition(3, 8, 4))
 
     def test_check_4_9_predicts_i0_two(self):
         cases = 0
@@ -341,7 +319,7 @@ class TestSufficientFlags:
             for T_len in range(6, 40):
                 for k in range(3, T_len // 2 + 1):
                     try:
-                        ok = check_4_9(PDecomposition.from_lengths(T_len, k, p))
+                        ok = check_4_9(PDecomposition(p, T_len, k))
                     except InvalidInputError:
                         continue
                     if ok:
@@ -352,15 +330,15 @@ class TestSufficientFlags:
     def test_check_4_9_shape_validation(self):
         with pytest.raises(InvalidInputError):
             # k-1 = 3 has t = 1 but v_p alignment fails on u1
-            check_4_9(PDecomposition.from_lengths(14, 4, 3))
+            check_4_9(PDecomposition(3, 14, 4))
         with pytest.raises(InvalidInputError):
-            check_4_9(PDecomposition.from_lengths(10, 3, 3))  # t = v_3(2) = 0 < 1
+            check_4_9(PDecomposition(3, 10, 3))  # t = v_3(2) = 0 < 1
         with pytest.raises(InvalidInputError, match="k = 1 mod p"):
-            check_4_9(PDecomposition.from_lengths(10, 3, 3))
+            check_4_9(PDecomposition(3, 10, 3))
         with pytest.raises(InvalidInputError, match="c1 and u1"):
-            check_4_9(PDecomposition.from_lengths(14, 4, 3))
+            check_4_9(PDecomposition(3, 14, 4))
         with pytest.raises(InvalidInputError, match="not prime"):
-            check_4_9(PDecomposition.from_lengths(1, 1, 4))
+            check_4_9(PDecomposition(4, 1, 1))
 
     def test_check_4_9_matches_own_digit_loop(self):
         def reference(p, T_len, k):  # the former check_4_9 body
@@ -388,7 +366,7 @@ class TestSufficientFlags:
                 return "raises"
 
         def current(p, T_len, k):
-            return check_4_9(PDecomposition.from_lengths(T_len, k, p))
+            return check_4_9(PDecomposition(p, T_len, k))
 
         inputs = [(p, T_len, k) for p in (2, 3, 5, 7) for T_len in range(150)
                   for k in range(-1, T_len + 2)]
@@ -460,7 +438,7 @@ class TestZerosubGuarantee:
                 T = Sequence.from_pairs(G, [(G.zero(), T_len)])
                 for k in range(2, T_len // 2 + 1):
                     try:
-                        expected = check_4_9(PDecomposition.from_lengths(T_len, k, p))
+                        expected = check_4_9(PDecomposition(p, T_len, k))
                     except InvalidInputError:
                         expected = None
                     assert zerosub_guarantee(T, k, p, 2).l4_9 == expected

@@ -154,15 +154,35 @@ class TestBudgets:
         result = davenport(make_group([1500]), SearchConfig(node_budget=5000))
         assert not result.complete and result.best_length == 1499
 
-    def test_partitioned_budget_bounds_total_nodes(self):
+    @pytest.mark.parametrize(
+        "factors,L,budget,complete,best_length",
+        [
+            # D(C2) = 2: the root and the one element are the whole tree.
+            ([2], LengthSet.all_positive(), 2, True, 1),
+            # s_<=3(C3^2) = 7 takes 120 nodes.
+            ([3, 3], LengthSet.up_to(3), 120, True, 6),
+            ([3, 3], LengthSet.up_to(3), 119, False, 6),
+            # A budget of 1 examines the root.
+            ([3, 3], LengthSet.all_positive(), 1, False, 0),
+        ],
+    )
+    def test_budget_counts_only_examined_nodes(self, factors, L, budget, complete, best_length):
+        result = s_L(make_group(factors), L, SearchConfig(node_budget=budget))
+        assert (result.complete, result.best_length, result.stats.nodes) == \
+            (complete, best_length, budget)
+
+    @pytest.mark.parametrize("budget", [5_000, 50_000, 232_286, 232_287])
+    def test_partitioned_budget_bounds_total_nodes(self, budget):
+        # The whole C3^3 s_<=4 tree split at depth 2 takes 232,287 nodes.
         C333 = make_group([3, 3, 3])
-        one, two = (s_leq(C333, 4, SearchConfig(node_budget=50_000, parallel_depth=2,
+        one, two = (s_leq(C333, 4, SearchConfig(node_budget=budget, parallel_depth=2,
                                                 workers=workers))
                     for workers in (1, 2))
         for result in (one, two):
-            assert not result.complete and result.value is None
-            assert result.stats.nodes == 50_000
-        assert (one.witness, one.stats.pruned) == (two.witness, two.stats.pruned)
+            assert result.complete == (budget == 232_287)
+            assert result.stats.nodes == min(budget, 232_287)
+        assert (one.witness, one.stats.pruned, one.complete) == \
+            (two.witness, two.stats.pruned, two.complete)
 
     def test_workers_alone_split_at_depth_two(self):
         # workers > 1 with no parallel_depth splits at depth 2, the same
@@ -184,6 +204,8 @@ class TestBudgets:
             SearchConfig(node_budget=0)
         with pytest.raises(InvalidInputError):
             SearchConfig(time_budget=0)
+        with pytest.raises(InvalidInputError):
+            SearchConfig(time_budget=float("nan"))
         with pytest.raises(InvalidInputError):
             SearchConfig(horizon=0)
         with pytest.raises(InvalidInputError):
@@ -455,7 +477,7 @@ class TestEnumeration:
         def no_search(*args, **kwargs):
             raise AssertionError("search started")
 
-        monkeypatch.setattr("zerosum.search._Search", no_search)
+        monkeypatch.setattr("zerosum.search._dfs", no_search)
         with pytest.raises(UnsupportedGroupError):
             enumerate_extremal(G, LengthSet.up_to(2), 2, up_to_automorphism=True)
 
