@@ -414,7 +414,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return 2
-    except (ZeroSumError, ValueError) as exc:
+    except (ZeroSumError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception:

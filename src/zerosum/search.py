@@ -44,6 +44,9 @@ order, the j-th appended element that leaves the subgroup generated by the
 previous ones can be forced to the j-th member of a fixed flag, because the
 stabilizer of the flag prefix acts transitively on the elements outside its
 span and fixes the span pointwise; this changes witnesses but not values.
+Table order is base-p order and the flag is the indices 1, p, ..., p^(r-1),
+so a span is always an index prefix: the indices below the least power of
+p above the last term, which alone fixes a node's children.
 On every other group the first term is restricted to the elements that come
 first in their Aut(G)-orbit (``groups.orbit_minima``, read from Ulm
 classes).  The lexicographically least L-free sequence of maximum length is
@@ -94,6 +97,8 @@ class SearchConfig:
             raise InvalidInputError("node_budget must be positive")
         if self.time_budget is not None and not self.time_budget > 0:
             raise InvalidInputError("time_budget must be positive")
+        if not all(isinstance(n, int) for n in (self.horizon or 1, self.parallel_depth, self.workers)):
+            raise InvalidInputError("horizon, parallel_depth and workers must be integers")
         if self.horizon is not None and self.horizon < 1:
             raise InvalidInputError("horizon must be >= 1")
         if self.parallel_depth < 0 or self.workers < 1:
@@ -222,9 +227,9 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
     horizon.  Every visited node counts against the node budget, the root
     included; a search of N nodes fits in a budget of N, and one that needs
     more, or passes the deadline, stops with ``stopped`` set.  ``symmetry``
-    is None, "flag" (the flag trick) or "roots" (the root's children are
-    orbit minima; only without a prefix).  Pool workers run it too, so its
-    arguments pickle.
+    is None, "flag" (the flag trick: a node's children depend on its last
+    term alone) or "roots" (the root's children are orbit minima; only
+    without a prefix).  Pool workers run it too, so its arguments pickle.
 
     Without ``collect``, and off the self-closed layout, a node's children
     are dropped when its length plus the multiplicity caps of its admissible
@@ -256,31 +261,18 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
             move = moves[gi] = _translation(factors, rows, table.elements[table.neg[gi]])
         return move
 
-    def grow(span, gi):
-        """The subgroup generated by ``span`` and g, as an |G|-bit int."""
-        move = move_by(gi)
-        new = cur = span
-        for _ in range(G.exponent - 1):
-            cur = _translate(cur, move)
-            new |= cur
-        return new
-
     # The empty subsequence sums to 0 with length 0.
     y = full // row if at_most else 1 & full
     for gi in prefix:
         y |= (_translate(y, move_by(gi)) << step) & full
 
-    span = row  # without symmetry every element counts as inside
-    dim = 0
-    flag_bits = None
     roots = orbit_minima(G) if symmetry == "roots" and not prefix else row
+    # flag[t]: the indices <= q(t), the least power of p above t; one int per q.
+    flag = None
     if symmetry == "flag":
-        flag_bits = [1 << G.exponent**j for j in range(G.rank)] + [0]
-        span = 1  # the zero element
-        for gi in prefix:
-            if not span >> gi & 1:
-                span = grow(span, gi)
-                dim += 1
+        p, flag = G.exponent, [3]
+        for j in range(G.rank):
+            flag += [(2 << p ** (j + 1)) - 1] * (p ** (j + 1) - p ** j)
 
     # The state update and banned set below inline move_by and _translate:
     # they run once per node.
@@ -293,7 +285,7 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
 
     base = len(prefix)
     seq = list(prefix) + [0] * max(cap - base, 0)
-    frames: list[list] = []  # per expanded node: [state, unvisited children, span, dim]
+    frames: list[list] = []  # per expanded node: [state, unvisited children]
     start = prefix[-1] if base else 0
     depth = base
     while True:
@@ -333,12 +325,12 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
                         i -= 1
                 if room <= 0:
                     avail = 0
-            if flag_bits is not None:
-                avail &= span | flag_bits[dim]
+            if flag is not None:
+                avail &= flag[start]
             elif not frames:  # the root
                 avail &= roots
             if avail:
-                frames.append([y, avail, span, dim])
+                frames.append([y, avail])
 
         # Move to the next unvisited child of the deepest open node.
         while frames:
@@ -362,10 +354,6 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
         for lo, hi, up, down in move:
             y = ((y & lo) << up) | ((y & hi) >> down)
         y = x | ((y << step) & full)
-        span, dim = frame[2], frame[3]
-        if flag_bits is not None and not span >> start & 1:
-            span = grow(span, start)
-            dim += 1
 
     return _Outcome(best, best_stack, nodes, pruned, stopped, hit, found)
 

@@ -151,9 +151,13 @@ class LengthSet:
 
     def __post_init__(self):
         if self.kind == "interval":
-            if self.k is None or self.k < 1:
+            if not isinstance(self.k, int):
+                raise InvalidInputError("interval bound must be an integer")
+            if self.k < 1:
                 raise InvalidInputError("interval bound must be >= 1")
         elif self.kind == "explicit":
+            if not all(isinstance(l, int) for l in self.members or ()):
+                raise InvalidInputError("explicit lengths must be integers")
             if not self.members or min(self.members) < 1:
                 raise InvalidInputError("explicit length set must be nonempty, entries >= 1")
         elif self.kind != "all":

@@ -103,6 +103,43 @@ def brute_davenport(factors, cap: int = 12) -> int:
     return brute_s_L(factors, lambda n: range(1, n + 1), cap)
 
 
+def brute_flag_count(factors, max_length) -> int:
+    """The number of sorted tuples of at most ``max_length`` elements, the
+    empty one included, that obey the flag rule: a term outside the
+    subgroup spanned by the earlier terms must be the next flag member, the
+    flag being the unit vectors from the last coordinate to the first.
+    Spans are closed under addition pair by pair."""
+    r = len(factors)
+    elements = all_elements(factors)
+    flag = [tuple(int(i == r - 1 - j) for i in range(r)) for j in range(r)]
+    closures = {}
+
+    def close(span, g):
+        if (span, g) not in closures:
+            new = set(span) | {g}
+            while True:
+                sums = {tuple_sum([a, b], factors) for a in new for b in new}
+                if sums <= new:
+                    break
+                new |= sums
+            closures[span, g] = frozenset(new)
+        return closures[span, g]
+
+    def count(prefix, span, dim):
+        total = 1
+        if len(prefix) < max_length:
+            for g in elements:
+                if prefix and g < prefix[-1]:
+                    continue
+                if g in span:
+                    total += count(prefix + (g,), span, dim)
+                elif dim < r and g == flag[dim]:
+                    total += count(prefix + (g,), close(span, g), dim + 1)
+        return total
+
+    return count((), frozenset([(0,) * r]), 0)
+
+
 def invariant_factor_chains(max_order: int, min_rank: int = 1):
     """Every invariant-factor chain (n_1 | n_2 | ... | n_r) with product
     <= max_order, smallest factor >= 2."""

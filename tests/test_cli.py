@@ -104,6 +104,13 @@ class TestInvariant:
         run_cli("invariant", "C2^2", "--leq", "2", "--out", str(out), check=True)
         assert json.loads(out.read_text())["value"] == 4
 
+    def test_unwritable_out_exit_1(self, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        proc = run_cli("invariant", "C3^2", "--davenport", "--symmetry", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
 
 class TestConstructAndVerify:
     def test_construct_lowercnr_round_trip(self):
@@ -156,6 +163,16 @@ class TestConstructAndVerify:
             check=True,
         )
         assert json.loads(proc.stdout)["passed"] is True
+
+    @pytest.mark.parametrize("sub,args", [("verify", ["--len", "2", "--min-zs", "1"]),
+                                          ("criteria", ["--k", "4"])])
+    def test_unreadable_in_exit_1(self, tmp_path, sub, args):
+        # A missing file for verify, a directory for criteria.
+        path = tmp_path / "missing" if sub == "verify" else tmp_path
+        proc = run_cli(sub, "C3^2", *args, "--in", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     def test_pipe_construct_into_verify(self, tmp_path):
         built = run_cli("construct", "lowercnr", "3", "2", "1", check=True).stdout

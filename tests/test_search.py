@@ -32,6 +32,7 @@ from zerosum.search import _sequence_from_indices, _translate, _translation
 from conftest import (
     all_elements,
     brute_davenport,
+    brute_flag_count,
     brute_has_zero_sum,
     brute_min_zero_sum,
     brute_s_L,
@@ -210,6 +211,11 @@ class TestBudgets:
             SearchConfig(horizon=0)
         with pytest.raises(InvalidInputError):
             SearchConfig(workers=0)
+        for bad in ({"horizon": 2.5}, {"parallel_depth": 1.5}, {"workers": 2.0}):
+            with pytest.raises(InvalidInputError, match="must be integers"):
+                SearchConfig(**bad)
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            s_leq(C32, 1.5)
 
     def test_s_kexp_requires_positive_k(self):
         with pytest.raises(InvalidInputError):
@@ -404,6 +410,20 @@ class TestRootRestriction:
                                            workers=workers))
             assert (split.value, split.witness, split.complete) == (
                 serial.value, serial.witness, serial.complete)
+
+
+class TestFlagTrick:
+    @pytest.mark.parametrize("factors,nodes", [([3], 25), ([5], 61), ([3, 3], 80),
+                                               ([5, 5], 412), ([7, 7], 1400), ([3, 3, 3], 108)],
+                             ids=str)
+    def test_nodes_with_no_member_of_L_in_the_horizon(self, factors, nodes):
+        # L = {2p} bans nothing below the horizon 4, so the search visits
+        # every flag-admissible sorted tuple of at most 4 terms.
+        G = make_group(factors)
+        result = s_L(G, LengthSet.exactly(2 * G.exponent),
+                     SearchConfig(symmetry_reduction=True, horizon=4))
+        assert (result.complete, result.best_length) == (False, 4)
+        assert result.stats.nodes == brute_flag_count(factors, 4) == nodes
 
 
 class TestSequenceFromIndices:

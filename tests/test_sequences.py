@@ -153,6 +153,10 @@ class TestLengthSet:
             LengthSet.of([0, 2])
         with pytest.raises(InvalidInputError):
             LengthSet("weird")
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            LengthSet.up_to(1.5)
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            LengthSet.of((2.5, 3))
 
 
 class TestSigma:
