@@ -53,6 +53,23 @@ classes).  The lexicographically least L-free sequence of maximum length is
 least in its orbit, since phi(S) sorts below S whenever phi maps S's first
 term below it, so its first term is such an element: value and witness
 equal the plain search's.
+
+On the self-closed layout the maximization keeps a transposition table
+instead of the bound.  There the subtree below a node depends only on its
+state row and its last term t (the least candidate, and under the flag
+trick the flag mask), and different prefixes often reach the same pair.
+Per DFS call, ``memo[t]`` maps a state to the longest extension found below
+a node with that key.  A node with children left after the flag and root
+masks whose key is stored skips its subtree when its length plus that
+extension neither exceeds the best length found (ties never replace the
+best, so the witness stays the lexicographically least) nor reaches the
+horizon (so a subtree that would be cut there is still searched).  An
+extension is stored only for a subtree not cut at the horizon, so every
+entry is exact.  The table holds at most ``_TABLE_ENTRIES`` (8,192)
+entries and is cleared when full, which bounds its memory and keeps node
+counts deterministic.  A skipping node counts as one visited node and its
+subtree counts nothing.  The table is local to one call, so partitioned
+subtasks keep node counts that do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -69,6 +86,8 @@ from .groups import GroupSpec, _invertible_matrices, d_star, group_table, is_pri
 from .sequences import LengthSet, Sequence, orbit_canonical, sigma
 
 _DEFAULT_NODE_BUDGET = 10**8
+# Entries the self-closed transposition table holds before it is cleared.
+_TABLE_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -93,7 +112,7 @@ class SearchConfig:
     horizon: int | None = None  # None -> 4 * d_star(G)
 
     def __post_init__(self):
-        if self.node_budget < 1:
+        if not self.node_budget >= 1:
             raise InvalidInputError("node_budget must be positive")
         if self.time_budget is not None and not self.time_budget > 0:
             raise InvalidInputError("time_budget must be positive")
@@ -239,6 +258,17 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
     witness.  A search below a prefix (a partitioned subtask) starts from
     its own ``best``, never a sibling's, so node counts do not depend on
     scheduling or worker count.
+
+    Without ``collect``, on the self-closed layout, the transposition table
+    of the module docstring replaces the bound.  Its key is (last term,
+    state); a node is looked up only when it has children left after the
+    masks, since a leaf gains nothing.  Each open frame keeps the deepest
+    length met below it: one more than its own at push, raised by table
+    hits among its children and by its children's frames as they pop, so
+    leaves cost nothing.  A popped node stores that length less its own
+    only if it is below the horizon; a budget or deadline stop leaves the
+    loop before any pop.  A hit was already counted as a visited node, so
+    budgets keep their meaning.
     """
     table = group_table(G)
     m = len(table.elements)
@@ -267,6 +297,9 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
         y |= (_translate(y, move_by(gi)) << step) & full
 
     roots = orbit_minima(G) if symmetry == "roots" and not prefix else row
+    # memo[t]: state -> longest extension below an uncut node with last term t.
+    memo = [{} for _ in range(m)] if closed and not collect else None
+    stored = 0
     # flag[t]: the indices <= q(t), the least power of p above t; one int per q.
     flag = None
     if symmetry == "flag":
@@ -285,7 +318,9 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
 
     base = len(prefix)
     seq = list(prefix) + [0] * max(cap - base, 0)
-    frames: list[list] = []  # per expanded node: [state, unvisited children]
+    # Per expanded node: [state, unvisited children], and with the table the
+    # deepest length met below it so far.
+    frames: list[list] = []
     start = prefix[-1] if base else 0
     depth = base
     while True:
@@ -330,7 +365,17 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
             elif not frames:  # the root
                 avail &= roots
             if avail:
-                frames.append([y, avail])
+                if memo is None:
+                    frames.append([y, avail])
+                else:
+                    ext = memo[start].get(y)
+                    if ext is not None and depth + ext <= best and depth + ext < horizon:
+                        # A hit; never at the root, whose table is empty.
+                        parent = frames[-1]
+                        parent[2] = max(parent[2], depth + ext)
+                    else:
+                        # Its children are one term longer: the deepest so far.
+                        frames.append([y, avail, depth + 1])
 
         # Move to the next unvisited child of the deepest open node.
         while frames:
@@ -339,6 +384,20 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
             if avail:
                 break
             frames.pop()
+            if memo is not None and frames:
+                # The node seq[:d] is done; store its extension if uncut.
+                deepest = frame[2]
+                if deepest < horizon:
+                    if stored == _TABLE_ENTRIES:
+                        for entries in memo:
+                            entries.clear()
+                        stored = 0
+                    d = base + len(frames)
+                    memo[seq[d - 1]][frame[0]] = deepest - d
+                    stored += 1
+                parent = frames[-1]
+                if deepest > parent[2]:
+                    parent[2] = deepest
         else:
             break
         low = avail & -avail

@@ -8,6 +8,7 @@ meaningful cross-validation rather than a tautology.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -103,27 +104,32 @@ def brute_davenport(factors, cap: int = 12) -> int:
     return brute_s_L(factors, lambda n: range(1, n + 1), cap)
 
 
+def _flag(factors):
+    """The flag: the unit vectors from the last coordinate to the first."""
+    r = len(factors)
+    return [tuple(int(i == r - 1 - j) for i in range(r)) for j in range(r)]
+
+
+@functools.lru_cache(maxsize=None)
+def _close(span, g, factors):
+    """The subgroup generated by ``span`` and g, closed under addition pair
+    by pair."""
+    new = set(span) | {g}
+    while True:
+        sums = {tuple_sum([a, b], factors) for a in new for b in new}
+        if sums <= new:
+            return frozenset(new)
+        new |= sums
+
+
 def brute_flag_count(factors, max_length) -> int:
     """The number of sorted tuples of at most ``max_length`` elements, the
     empty one included, that obey the flag rule: a term outside the
-    subgroup spanned by the earlier terms must be the next flag member, the
-    flag being the unit vectors from the last coordinate to the first.
-    Spans are closed under addition pair by pair."""
+    subgroup spanned by the earlier terms must be the next flag member."""
+    factors = tuple(factors)
     r = len(factors)
     elements = all_elements(factors)
-    flag = [tuple(int(i == r - 1 - j) for i in range(r)) for j in range(r)]
-    closures = {}
-
-    def close(span, g):
-        if (span, g) not in closures:
-            new = set(span) | {g}
-            while True:
-                sums = {tuple_sum([a, b], factors) for a in new for b in new}
-                if sums <= new:
-                    break
-                new |= sums
-            closures[span, g] = frozenset(new)
-        return closures[span, g]
+    flag = _flag(factors)
 
     def count(prefix, span, dim):
         total = 1
@@ -134,10 +140,24 @@ def brute_flag_count(factors, max_length) -> int:
                 if g in span:
                     total += count(prefix + (g,), span, dim)
                 elif dim < r and g == flag[dim]:
-                    total += count(prefix + (g,), close(span, g), dim + 1)
+                    total += count(prefix + (g,), _close(span, g, factors), dim + 1)
         return total
 
     return count((), frozenset([(0,) * r]), 0)
+
+
+def brute_obeys_flag(coords_list, factors) -> bool:
+    """Whether a sorted tuple obeys the flag rule of ``brute_flag_count``."""
+    factors = tuple(factors)
+    flag = _flag(factors)
+    span, dim = frozenset([(0,) * len(factors)]), 0
+    for g in coords_list:
+        if g in span:
+            continue
+        if dim == len(flag) or g != flag[dim]:
+            return False
+        span, dim = _close(span, g, factors), dim + 1
+    return True
 
 
 def invariant_factor_chains(max_order: int, min_rank: int = 1):

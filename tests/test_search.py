@@ -1,5 +1,6 @@
 """Exhaustive-search invariants cross-validated against multiset brute force."""
 
+import dataclasses
 import math
 
 import pytest
@@ -35,6 +36,7 @@ from conftest import (
     brute_flag_count,
     brute_has_zero_sum,
     brute_min_zero_sum,
+    brute_obeys_flag,
     brute_s_L,
     brute_s_leq,
     factor_chains,
@@ -204,6 +206,8 @@ class TestBudgets:
         with pytest.raises(InvalidInputError):
             SearchConfig(node_budget=0)
         with pytest.raises(InvalidInputError):
+            SearchConfig(node_budget=float("nan"))
+        with pytest.raises(InvalidInputError):
             SearchConfig(time_budget=0)
         with pytest.raises(InvalidInputError):
             SearchConfig(time_budget=float("nan"))
@@ -226,18 +230,19 @@ class TestStateLayout:
     """(value, witness, nodes, pruned) for each branch of the packed state
     layout.  Values and witnesses were recorded with the per-element
     length-mask kernel it replaced; the counts off the self-closed row are
-    those of the multiplicity-cap bound."""
+    those of the multiplicity-cap bound, and on it those of the
+    transposition table."""
 
     @pytest.mark.parametrize(
         "run,expected",
         [
             # L = N: one self-closed row.
-            (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 185, 349)),
+            (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 164, 297)),
             # Interval [1,k], k < horizon: k rows of "at most l terms".
             (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 120, 191)),
             (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 65, 105)),
             # Interval reaching the horizon collapses to the self-closed row.
-            (lambda: s_leq(C32, 6, SearchConfig(horizon=6)), (5, "0,1^2; 1,0^2", 185, 349)),
+            (lambda: s_leq(C32, 6, SearchConfig(horizon=6)), (5, "0,1^2; 1,0^2", 164, 297)),
             # Singleton and explicit sets: rows of exactly l terms.
             (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 511, 633)),
             (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 775, 1118)),
@@ -424,6 +429,85 @@ class TestFlagTrick:
                      SearchConfig(symmetry_reduction=True, horizon=4))
         assert (result.complete, result.best_length) == (False, 4)
         assert result.stats.nodes == brute_flag_count(factors, 4) == nodes
+
+
+def table_cases(max_order, limit=9_000):
+    """(factors, L, horizon) on the self-closed layout for every chain of
+    order <= max_order.  L = N runs at the default horizon on chains of
+    order <= 20, whose whole trees are small, and on C2^5, where the table
+    skips the most (9,149 of its 114,205 nodes are visited).  Each horizon
+    h in 3..7 with h <= d*(G) < D(G), which cuts the search, runs while there
+    are at most ``limit`` multisets of h terms, with [1, k] for odd h and N
+    for even h; k >= h, and k >= exp(G) keeps s_L finite."""
+    for factors in factor_chains(max_order):
+        G = make_group(factors)
+        if G.order <= 20 or factors == (2, 2, 2, 2, 2):
+            yield pytest.param(factors, LengthSet.all_positive(), None, id=f"{factors}-N")
+        for h in range(3, min(7, d_star(G)) + 1):
+            if math.comb(G.order + h - 1, h) > limit:
+                break
+            L = LengthSet.up_to(max(h, G.exponent)) if h % 2 else LengthSet.all_positive()
+            yield pytest.param(factors, L, h, id=f"{factors}-{L.label()}-{h}")
+
+
+class TestTranspositionTable:
+    """On the self-closed layout the DFS skips a subtree whose (last term,
+    state) it has already searched, when that cannot beat the best length or
+    reach the horizon.  The value, witness and completeness stay those of
+    the collect path, which never uses the table."""
+
+    @pytest.mark.parametrize("factors,L,horizon", table_cases(36))
+    def test_matches_collect(self, factors, L, horizon):
+        G = make_group(factors)
+        flag = G.is_homocyclic() and is_prime(G.exponent)
+        expected = {}
+        for symmetry in (False, True):
+            runs = [s_L(G, L, SearchConfig(horizon=horizon, symmetry_reduction=symmetry,
+                                           parallel_depth=depth, workers=workers))
+                    for depth, workers in ((0, 1), (2, 1), (2, 2))]
+            serial = runs[0]
+            for result in runs:
+                assert (result.value, result.witness, result.complete, result.best_length) == (
+                    serial.value, serial.witness, serial.complete, serial.best_length)
+            assert runs[1].stats.nodes == runs[2].stats.nodes
+            if not expected:
+                longest = enumerate_extremal(G, L, serial.best_length).sequences
+                expected[False] = longest[0]
+                # The flag trick keeps the least sequence that obeys the flag rule.
+                expected[True] = next(S for S in longest if brute_obeys_flag(
+                    [g.coords for g in S.expand()], factors)) if flag else longest[0]
+                if serial.complete:
+                    assert enumerate_extremal(G, L, serial.value).sequences == ()
+                else:
+                    assert serial.best_length == horizon
+            assert serial.witness == expected[symmetry]
+
+    @pytest.mark.parametrize("factors,horizon,nodes", [
+        # Without the table: 114,205 and 24,643 nodes (C3^2 is pinned in
+        # TestStateLayout).
+        ([2, 2, 2, 2, 2], None, 9_149),
+        ([2, 10], None, 9_611),
+        # Cut at the horizon (3,595 and 976 nodes without the table): no
+        # entry is stored above a cut, and none is used where it would
+        # reach the horizon.
+        ([4, 4], 5, 3_491),
+        ([12], 6, 870),
+    ], ids=str)
+    def test_pinned_counts(self, factors, horizon, nodes):
+        result = davenport(make_group(factors), SearchConfig(horizon=horizon))
+        assert result.stats.nodes == nodes
+
+    @pytest.mark.parametrize("factors,cfg,nodes", [
+        ([3, 3], SearchConfig(), 164),
+        ([2, 2, 2, 2, 2], SearchConfig(parallel_depth=2, workers=2), 63_150),
+    ], ids=str)
+    def test_exact_budget(self, factors, cfg, nodes):
+        # Both searches skip subtrees on table hits.
+        G = make_group(factors)
+        assert davenport(G, cfg).stats.nodes == nodes
+        for budget, complete in ((nodes, True), (nodes - 1, False)):
+            result = davenport(G, dataclasses.replace(cfg, node_budget=budget))
+            assert (result.complete, result.stats.nodes) == (complete, budget)
 
 
 class TestSequenceFromIndices:
