@@ -56,7 +56,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ap.add_argument(
         "--no-symmetry",
         action="store_true",
-        help="disable automorphism-orbit pruning in computed rows",
+        help="disable the flag trick in computed rows (orbit-minimum first "
+        "terms stay on)",
     )
     ap.add_argument(
         "--time-budget",

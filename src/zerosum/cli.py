@@ -94,9 +94,9 @@ def _add_budget_flags(sub) -> None:
     sub.add_argument("--workers", type=int, default=1, metavar="W")
     sub.add_argument("--parallel-depth", type=int, default=0, metavar="P")
     sub.add_argument("--symmetry", action="store_true",
-                     help="enable automorphism symmetry reduction: the flag trick on "
-                          "prime-exponent homocyclic groups, orbit-minimum first "
-                          "terms (same witness) on every other group")
+                     help="use the flag trick on prime-exponent homocyclic groups (same "
+                          "value, possibly another witness); orbit-minimum first terms, "
+                          "which keep the witness, are always on")
     sub.add_argument("--horizon", type=int, default=None, metavar="H")
 
 
@@ -119,6 +119,7 @@ def _invariant_payload(result: SearchResult) -> dict:
         "value": result.value if result.value is not None else result.value_label(),
         "witness": result.witness.format() if result.witness is not None else None,
         "nodes": result.stats.nodes,
+        "symmetry": result.stats.symmetry,
         "seconds": result.stats.seconds,
         "complete": result.complete,
     }
@@ -147,7 +148,8 @@ def cmd_invariant(args) -> int:
         lines = [f"s_{result.L.label()}({result.group}) = {result.value_label()}"]
         if payload["witness"]:
             lines.append(f"witness: {payload['witness']}")
-        lines.append(f"nodes: {payload['nodes']}  seconds: {payload['seconds']:.3f}  complete: {payload['complete']}")
+        lines.append(f"nodes: {payload['nodes']}  symmetry: {payload['symmetry']}  "
+                     f"seconds: {payload['seconds']:.3f}  complete: {payload['complete']}")
         _emit("\n".join(lines), args.out)
     else:
         _emit(json.dumps(payload, indent=2), args.out)

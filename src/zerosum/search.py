@@ -38,21 +38,24 @@ least one.  The bound is off when collecting, which needs every sequence,
 and on the self-closed row (L = N, or an interval reaching the horizon),
 where cap(g) = ord(g) - 1 barely prunes and costs more time than it saves.
 
-Optional symmetry reduction (``symmetry_reduction``, off by default) takes
-one of two forms.  On homocyclic groups of prime exponent, in canonical
-order, the j-th appended element that leaves the subgroup generated by the
-previous ones can be forced to the j-th member of a fixed flag, because the
-stabilizer of the flag prefix acts transitively on the elements outside its
-span and fixes the span pointwise; this changes witnesses but not values.
-Table order is base-p order and the flag is the indices 1, p, ..., p^(r-1),
-so a span is always an index prefix: the indices below the least power of
-p above the last term, which alone fixes a node's children.
-On every other group the first term is restricted to the elements that come
-first in their Aut(G)-orbit (``groups.orbit_minima``, read from Ulm
-classes).  The lexicographically least L-free sequence of maximum length is
-least in its orbit, since phi(S) sorts below S whenever phi maps S's first
-term below it, so its first term is such an element: value and witness
-equal the plain search's.
+Every maximization restricts the first term to the elements that come first
+in their Aut(G)-orbit (``groups.orbit_minima``, read from Ulm classes).  The
+lexicographically least L-free sequence of maximum length is least in its
+orbit, since phi(S) sorts below S whenever phi maps S's first term below it,
+so its first term is such an element: value and witness equal those of the
+unrestricted search.  This is the first level of orderly generation (R. C.
+Read, Ann. Discrete Math. 2 (1978); B. D. McKay, J. Algorithms 26 (1998)).
+
+``symmetry_reduction`` (off by default) switches on the flag trick instead,
+on homocyclic groups of prime exponent only.  In canonical order, the j-th
+appended element that leaves the subgroup generated by the previous ones can
+be forced to the j-th member of a fixed flag, because the stabilizer of the
+flag prefix acts transitively on the elements outside its span and fixes the
+span pointwise; this changes witnesses but not values.  Table order is
+base-p order and the flag is the indices 1, p, ..., p^(r-1), so a span is
+always an index prefix: the indices below the least power of p above the
+last term, which alone fixes a node's children.  On every other group
+``symmetry_reduction`` changes nothing.
 
 On the self-closed layout the maximization keeps a transposition table
 instead of the bound.  There the subtree below a node depends only on its
@@ -96,12 +99,13 @@ class SearchConfig:
 
     The time budget is wall-clock and therefore not reproducible across
     machines; results are deterministic when the search finishes or stops on
-    the node budget.  ``symmetry_reduction`` uses the flag trick on
-    homocyclic groups of prime exponent (same value, possibly another
-    witness) and restricts the first term to Aut(G)-orbit minima on every
-    other group (same value and witness).  A positive ``parallel_depth``
-    splits the tree into subtasks at that depth; ``workers`` > 1 runs them in
-    a process pool and, with ``parallel_depth`` 0, splits at depth 2.
+    the node budget.  Every search restricts the first term to Aut(G)-orbit
+    minima, which keeps the value and the witness.  ``symmetry_reduction``
+    replaces that by the flag trick on homocyclic groups of prime exponent
+    (same value, possibly another witness) and changes nothing on other
+    groups.  A positive ``parallel_depth`` splits the tree into subtasks at
+    that depth; ``workers`` > 1 runs them in a process pool and, with
+    ``parallel_depth`` 0, splits at depth 2.
     """
 
     node_budget: int = _DEFAULT_NODE_BUDGET
@@ -126,9 +130,14 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Nodes visited, candidates banned, wall seconds, and the symmetry the
+    search ran: "flag", "roots" (orbit-minimum first terms), or "none" for a
+    result certified infinite without a search."""
+
     nodes: int
     pruned: int
     seconds: float
+    symmetry: str
 
 
 @dataclass(frozen=True)
@@ -421,13 +430,14 @@ def _effective_horizon(G: GroupSpec, cfg: SearchConfig) -> int:
     return cfg.horizon if cfg.horizon is not None else max(4 * d_star(G), 1)
 
 
-def _symmetry_applicable(G: GroupSpec, cfg: SearchConfig) -> str | None:
+def _symmetry_applicable(G: GroupSpec, cfg: SearchConfig) -> str:
     # Flag forcing relies on the stabilizer acting transitively outside the
     # span, which holds when the coordinate ring is a field: prime exponent.
-    # Every other group gets orbit-minimum first terms.
-    if not cfg.symmetry_reduction:
-        return None
-    return "flag" if G.is_homocyclic() and is_prime(G.exponent) else "roots"
+    # Every other search gets orbit-minimum first terms, which keep the
+    # witness.
+    if cfg.symmetry_reduction and G.is_homocyclic() and is_prime(G.exponent):
+        return "flag"
+    return "roots"
 
 
 def _deadline(cfg: SearchConfig) -> float | None:
@@ -498,7 +508,7 @@ def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchRe
     t0 = time.monotonic()
     if not L.has_multiple_of(G.exponent):
         return SearchResult(G, L, None, True, True, None, None,
-                            SearchStats(0, 0, time.monotonic() - t0))
+                            SearchStats(0, 0, time.monotonic() - t0, "none"))
     horizon = _effective_horizon(G, cfg)
     symmetry = _symmetry_applicable(G, cfg)
 
@@ -518,7 +528,7 @@ def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchRe
     value = best + 1 if complete and best >= 0 else None
     best_length = best if best >= 0 else None
     return SearchResult(G, L, value, False, complete, witness, best_length,
-                        SearchStats(outcome.nodes, outcome.pruned, seconds))
+                        SearchStats(outcome.nodes, outcome.pruned, seconds, symmetry))
 
 
 # --- named invariants -------------------------------------------------------

@@ -68,6 +68,19 @@ class TestInvariant:
         assert eta["value"] == 7
         assert egz["value"] == 9
 
+    @pytest.mark.parametrize("args,symmetry", [
+        (("C3^3", "--leq", "4"), "roots"),
+        (("C3^3", "--leq", "4", "--symmetry"), "flag"),
+        # Certified infinite: no multiple of exp = 6 in L, so no search.
+        (("C6", "--exactly", "4"), "none"),
+    ], ids=str)
+    def test_symmetry_reported(self, args, symmetry):
+        payload = json.loads(run_cli("invariant", *args, check=True).stdout)
+        assert list(payload)[list(payload).index("nodes") + 1] == "symmetry"
+        assert payload["symmetry"] == symmetry
+        text = run_cli("invariant", *args, "--format", "text", check=True).stdout
+        assert f"  symmetry: {symmetry}  " in text
+
     def test_budget_exhaustion_exit_2(self):
         proc = run_cli("invariant", "C3^2", "--davenport", "--budget-nodes", "3")
         assert proc.returncode == 2

@@ -28,7 +28,14 @@ from zerosum import (
     sigma,
 )
 from zerosum.groups import d_star, group_table, is_prime
-from zerosum.search import _sequence_from_indices, _translate, _translation
+from zerosum.search import (
+    _dfs,
+    _effective_horizon,
+    _run_partitioned,
+    _sequence_from_indices,
+    _translate,
+    _translation,
+)
 
 from conftest import (
     all_elements,
@@ -162,9 +169,9 @@ class TestBudgets:
         [
             # D(C2) = 2: the root and the one element are the whole tree.
             ([2], LengthSet.all_positive(), 2, True, 1),
-            # s_<=3(C3^2) = 7 takes 120 nodes.
-            ([3, 3], LengthSet.up_to(3), 120, True, 6),
-            ([3, 3], LengthSet.up_to(3), 119, False, 6),
+            # s_<=3(C3^2) = 7 takes 50 nodes.
+            ([3, 3], LengthSet.up_to(3), 50, True, 6),
+            ([3, 3], LengthSet.up_to(3), 49, False, 6),
             # A budget of 1 examines the root.
             ([3, 3], LengthSet.all_positive(), 1, False, 0),
         ],
@@ -174,16 +181,16 @@ class TestBudgets:
         assert (result.complete, result.best_length, result.stats.nodes) == \
             (complete, best_length, budget)
 
-    @pytest.mark.parametrize("budget", [5_000, 50_000, 232_286, 232_287])
+    @pytest.mark.parametrize("budget", [5_000, 46_199, 46_200, 50_000])
     def test_partitioned_budget_bounds_total_nodes(self, budget):
-        # The whole C3^3 s_<=4 tree split at depth 2 takes 232,287 nodes.
+        # The whole C3^3 s_<=4 tree split at depth 2 takes 46,200 nodes.
         C333 = make_group([3, 3, 3])
         one, two = (s_leq(C333, 4, SearchConfig(node_budget=budget, parallel_depth=2,
                                                 workers=workers))
                     for workers in (1, 2))
         for result in (one, two):
-            assert result.complete == (budget == 232_287)
-            assert result.stats.nodes == min(budget, 232_287)
+            assert result.complete == (budget >= 46_200)
+            assert result.stats.nodes == min(budget, 46_200)
         assert (one.witness, one.stats.pruned, one.complete) == \
             (two.witness, two.stats.pruned, two.complete)
 
@@ -195,7 +202,7 @@ class TestBudgets:
         split = s_leq(C333, 4, SearchConfig(parallel_depth=2))
         assert pooled.value == split.value == 10
         assert pooled.witness == split.witness
-        assert pooled.stats.nodes == split.stats.nodes == 232_287
+        assert pooled.stats.nodes == split.stats.nodes == 46_200
 
     def test_partition_phase_cut_spends_only_the_budget(self):
         result = s_leq(make_group([3, 3, 3]), 4, SearchConfig(node_budget=30, parallel_depth=2))
@@ -231,26 +238,26 @@ class TestStateLayout:
     layout.  Values and witnesses were recorded with the per-element
     length-mask kernel it replaced; the counts off the self-closed row are
     those of the multiplicity-cap bound, and on it those of the
-    transposition table."""
+    transposition table, both with orbit-minimum first terms."""
 
     @pytest.mark.parametrize(
         "run,expected",
         [
             # L = N: one self-closed row.
-            (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 164, 297)),
+            (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 54, 118)),
             # Interval [1,k], k < horizon: k rows of "at most l terms".
-            (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 120, 191)),
-            (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 65, 105)),
+            (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 50, 91)),
+            (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 43, 77)),
             # Interval reaching the horizon collapses to the self-closed row.
-            (lambda: s_leq(C32, 6, SearchConfig(horizon=6)), (5, "0,1^2; 1,0^2", 164, 297)),
+            (lambda: s_leq(C32, 6, SearchConfig(horizon=6)), (5, "0,1^2; 1,0^2", 54, 118)),
             # Singleton and explicit sets: rows of exactly l terms.
-            (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 511, 633)),
-            (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 775, 1118)),
+            (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 352, 547)),
+            (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 496, 858)),
             # Singleton beyond the horizon: nothing banned, cut at the horizon.
             # (The length is a multiple of exp = 3, or s_L is certified
             # infinite before any search.)
             (lambda: s_L(C32, LengthSet.exactly(6), SearchConfig(horizon=3)),
-             (None, "0,0^3", 218, 0)),
+             (None, "0,0^3", 101, 0)),
         ],
     )
     def test_pinned_counts(self, run, expected):
@@ -367,14 +374,12 @@ class TestBound:
 
 
 def root_restricted_cases(max_order):
-    """(factors, L) for each chain of order <= max_order that the flag trick
-    does not cover: L = N, [1,k] for k in [exp, D*-1], and {exp}.  On cyclic
-    groups {n} is kept to n <= 10: the plain search for C12 already takes
-    2.8M nodes, and it grows fast with n."""
+    """(factors, L) for each chain of order <= max_order: L = N, [1,k] for k
+    in [exp, D*-1], and {exp}.  On cyclic groups {n} is kept to n <= 10: the
+    unrestricted search for C12 already takes 2.8M nodes, and it grows fast
+    with n."""
     cases = []
     for factors in factor_chains(max_order):
-        if len(set(factors)) == 1 and is_prime(factors[0]):
-            continue
         G = make_group(factors)
         n = G.exponent
         cases.append((factors, LengthSet.all_positive()))
@@ -384,35 +389,68 @@ def root_restricted_cases(max_order):
     return cases
 
 
+def unrestricted(G, L, cfg):
+    """The maximization over every first term, split as ``cfg`` asks: the
+    reference for the orbit-minimum first terms every search uses."""
+    horizon = _effective_horizon(G, cfg)
+    if cfg.parallel_depth:
+        return _run_partitioned(G, L, cfg, cfg.parallel_depth, horizon, None)
+    return _dfs(G, L, horizon, cfg.node_budget, None, None, (), horizon)
+
+
+def assert_same_as_unrestricted(G, result, reference):
+    complete = not reference.stopped and not reference.hit_horizon
+    assert (result.value, result.witness, result.complete, result.best_length) == (
+        reference.best + 1 if complete else None,
+        _sequence_from_indices(G, reference.best_stack), complete, reference.best)
+    assert result.stats.symmetry == "roots"
+    assert result.stats.nodes <= reference.nodes
+
+
 class TestRootRestriction:
-    """symmetry_reduction on a group the flag trick does not cover keeps
-    the plain search's value, witness and completeness."""
+    """Every search without the flag trick restricts the first term to
+    Aut(G)-orbit minima, and keeps the value, witness, completeness and
+    best length of the search over every first term, in no more nodes."""
 
     @pytest.mark.parametrize("factors,L", root_restricted_cases(16), ids=str)
     def test_same_answer_as_plain_search(self, factors, L):
         G = make_group(factors)
-        plain = s_L(G, L)
-        reduced = s_L(G, L, SearchConfig(symmetry_reduction=True))
-        assert plain.complete
-        assert (reduced.value, reduced.witness, reduced.complete) == (
-            plain.value, plain.witness, plain.complete)
-        assert reduced.stats.nodes <= plain.stats.nodes
+        reference = unrestricted(G, L, SearchConfig())
+        assert not reference.stopped and not reference.hit_horizon
+        assert_same_as_unrestricted(G, s_L(G, L), reference)
+
+    @pytest.mark.parametrize("factors", factor_chains(24), ids=str)
+    def test_grid_matches_unrestricted(self, factors):
+        # Every L of root_restricted_cases and {exp, 2 exp}, at the default
+        # horizon and at horizon 5, serially and split at depth 2.  Cases
+        # the unrestricted search does not finish within the budget are
+        # skipped.
+        G = make_group(factors)
+        n = G.exponent
+        lengths = [LengthSet.all_positive(), LengthSet.exactly(n), LengthSet.of([n, 2 * n])]
+        lengths += [LengthSet.up_to(k) for k in range(n, d_star(G))]
+        for L in lengths:
+            for horizon in (None, 5):
+                for depth in (0, 2):
+                    cfg = SearchConfig(node_budget=20_000, horizon=horizon, parallel_depth=depth)
+                    reference = unrestricted(G, L, cfg)
+                    if not reference.stopped:
+                        assert_same_as_unrestricted(G, s_L(G, L, cfg), reference)
 
     def test_fewer_nodes(self):
         # C4^2 has three orbits: 0, the elements of order 4, those of order 2.
         G = make_group([4, 4])
         L = LengthSet.up_to(4)
-        assert s_L(G, L).stats.nodes == 3921
-        assert s_L(G, L, SearchConfig(symmetry_reduction=True)).stats.nodes == 1514
+        assert unrestricted(G, L, SearchConfig()).nodes == 3921
+        assert s_L(G, L).stats.nodes == 1514
 
     @pytest.mark.parametrize("factors", [[2, 6], [4, 4]])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_partitioned_matches_serial(self, factors, workers):
         G = make_group(factors)
         for L in (LengthSet.all_positive(), LengthSet.up_to(G.exponent)):
-            serial = s_L(G, L, SearchConfig(symmetry_reduction=True))
-            split = s_L(G, L, SearchConfig(symmetry_reduction=True, parallel_depth=2,
-                                           workers=workers))
+            serial = s_L(G, L)
+            split = s_L(G, L, SearchConfig(parallel_depth=2, workers=workers))
             assert (split.value, split.witness, split.complete) == (
                 serial.value, serial.witness, serial.complete)
 
@@ -461,7 +499,8 @@ class TestTranspositionTable:
         G = make_group(factors)
         flag = G.is_homocyclic() and is_prime(G.exponent)
         expected = {}
-        for symmetry in (False, True):
+        # symmetry_reduction changes nothing off the flag trick's groups.
+        for symmetry in (False, True) if flag else (False,):
             runs = [s_L(G, L, SearchConfig(horizon=horizon, symmetry_reduction=symmetry,
                                            parallel_depth=depth, workers=workers))
                     for depth, workers in ((0, 1), (2, 1), (2, 2))]
@@ -473,9 +512,10 @@ class TestTranspositionTable:
             if not expected:
                 longest = enumerate_extremal(G, L, serial.best_length).sequences
                 expected[False] = longest[0]
-                # The flag trick keeps the least sequence that obeys the flag rule.
-                expected[True] = next(S for S in longest if brute_obeys_flag(
-                    [g.coords for g in S.expand()], factors)) if flag else longest[0]
+                if flag:
+                    # The flag trick keeps the least sequence that obeys the flag rule.
+                    expected[True] = next(S for S in longest if brute_obeys_flag(
+                        [g.coords for g in S.expand()], factors))
                 if serial.complete:
                     assert enumerate_extremal(G, L, serial.value).sequences == ()
                 else:
@@ -483,23 +523,23 @@ class TestTranspositionTable:
             assert serial.witness == expected[symmetry]
 
     @pytest.mark.parametrize("factors,horizon,nodes", [
-        # Without the table: 114,205 and 24,643 nodes (C3^2 is pinned in
-        # TestStateLayout).
-        ([2, 2, 2, 2, 2], None, 9_149),
-        ([2, 10], None, 9_611),
-        # Cut at the horizon (3,595 and 976 nodes without the table): no
-        # entry is stored above a cut, and none is used where it would
-        # reach the horizon.
-        ([4, 4], 5, 3_491),
-        ([12], 6, 870),
+        # With every first term: 114,205 and 24,643 nodes without the table,
+        # 9,149 and 9,611 with it (C3^2 is pinned in TestStateLayout).
+        ([2, 2, 2, 2, 2], None, 2_228),
+        ([2, 10], None, 4_479),
+        # Cut at the horizon (3,595 and 976 nodes with every first term and
+        # without the table, 3,491 and 870 with it): no entry is stored
+        # above a cut, and none is used where it would reach the horizon.
+        ([4, 4], 5, 1_257),
+        ([12], 6, 642),
     ], ids=str)
     def test_pinned_counts(self, factors, horizon, nodes):
         result = davenport(make_group(factors), SearchConfig(horizon=horizon))
         assert result.stats.nodes == nodes
 
     @pytest.mark.parametrize("factors,cfg,nodes", [
-        ([3, 3], SearchConfig(), 164),
-        ([2, 2, 2, 2, 2], SearchConfig(parallel_depth=2, workers=2), 63_150),
+        ([3, 3], SearchConfig(), 54),
+        ([2, 2, 2, 2, 2], SearchConfig(parallel_depth=2, workers=2), 7_426),
     ], ids=str)
     def test_exact_budget(self, factors, cfg, nodes):
         # Both searches skip subtrees on table hits.
