@@ -84,7 +84,6 @@ def _search_config(args) -> SearchConfig:
         symmetry_reduction=args.symmetry,
         parallel_depth=args.parallel_depth,
         workers=args.workers,
-        horizon=args.horizon,
     )
 
 
@@ -97,7 +96,6 @@ def _add_budget_flags(sub) -> None:
                      help="use the flag trick on prime-exponent homocyclic groups (same "
                           "value, possibly another witness); orbit-minimum first terms, "
                           "which keep the witness, are always on")
-    sub.add_argument("--horizon", type=int, default=None, metavar="H")
 
 
 def _add_output_flags(sub, formats=("json", "text")) -> None:
@@ -118,6 +116,7 @@ def _invariant_payload(result: SearchResult) -> dict:
         "L": result.L.label(),
         "value": result.value if result.value is not None else result.value_label(),
         "witness": result.witness.format() if result.witness is not None else None,
+        "best_length": result.best_length,
         "nodes": result.stats.nodes,
         "symmetry": result.stats.symmetry,
         "seconds": result.stats.seconds,
@@ -145,7 +144,10 @@ def cmd_invariant(args) -> int:
         result = s_L(G, LengthSet.of(int(x) for x in args.L.split(",")), cfg)
     payload = _invariant_payload(result)
     if args.format == "text":
-        lines = [f"s_{result.L.label()}({result.group}) = {result.value_label()}"]
+        label = result.value_label()
+        if label == "unknown" and result.best_length is not None:
+            label += f" (>= {result.best_length + 1})"
+        lines = [f"s_{result.L.label()}({result.group}) = {label}"]
         if payload["witness"]:
             lines.append(f"witness: {payload['witness']}")
         lines.append(f"nodes: {payload['nodes']}  symmetry: {payload['symmetry']}  "

@@ -6,37 +6,41 @@ length l has a nonempty zero-sum subsequence with length in L; equivalently
 taking subsequences, so the L-free sequences form a prefix tree of canonical
 (index-sorted) multisets which a DFS can exhaust.
 
+The tree is finite.  g^l sums to 0 whenever ord(g) | l, so g appears at most
+cap(g) = min{l in L : ord(g) | l} - 1 times in an L-free sequence, and no
+L-free sequence is longer than the sum of cap(g) over G.  ``s_L`` searches
+to that limit, so only a node or time budget can leave its answer unknown.
+
 Pruning is a subset-sum dynamic program over (group element, subsequence
 length) pairs, packed into one Python int.  A subset of G is an |G|-bit int
 indexed in group-table order, and the state holds T such rows: row l is the
 negated set {-s} of the sums s of the subsequences with l terms.  Only the
-members of L up to the horizon matter, read from ``L.mask(horizon)``.  When
-they form an interval [1, k] (for L = [1, k], N or {1, ..., k}), row l
-counts subsequences of at most l terms, and once k reaches the horizon one
-self-closed row holding every subsequence sum serves.  Any other L counts
-exactly l terms in row l.  Appending g can only create zero-sum subsequences
-through the new copy, so g is banned iff -g is the sum of a subsequence of
-length l-1 for some l in L: the banned candidates are the OR of rows l-1,
-and the DFS walks the other bits in ascending order.  Appending g translates
-the rows by -g, one masked rotation per nonzero coordinate of g, and ORs the
-result one row up (into the same row when it is self-closed).
+members of L up to the depth searched matter.  When they form an interval
+[1, k] (for L = [1, k], N or {1, ..., k}), row l counts subsequences of at
+most l terms, and once k reaches that depth one self-closed row holding
+every subsequence sum serves.  Any other L counts exactly l terms in row l.
+Appending g can only create zero-sum subsequences through the new copy, so
+g is banned iff -g is the sum of a subsequence of length l-1 for some l in
+L: the banned candidates are the OR of rows l-1, and the DFS walks the
+other bits in ascending order.  Appending g translates the rows by -g, one
+masked rotation per nonzero coordinate of g, and ORs the result one row up
+(into the same row when it is self-closed).
 
 One iterative DFS, ``_dfs``, serves every caller and returns one named
 ``_Outcome``: it maximizes the length, and can also collect every sequence
 of a fixed length (for partitioning the tree into subtasks, and for
 ``enumerate_extremal``).
 
-The maximization is a branch-and-bound.  In an L-free sequence g appears at
-most cap(g) = min{l in L : ord(g) | l} - 1 times (the horizon when no such
-l lies within it), since g^l sums to 0.  Admissibility only shrinks down the
-tree and later terms are never below the last one, so below a node of
-length d at most the sum of cap(g) over its admissible candidates, less the
-copies of the last term already used, more terms fit.  A node whose d plus
-that sum does not exceed the best length found has its children dropped;
-as ties never replace the best, the witness stays the lexicographically
-least one.  The bound is off when collecting, which needs every sequence,
-and on the self-closed row (L = N, or an interval reaching the horizon),
-where cap(g) = ord(g) - 1 barely prunes and costs more time than it saves.
+The maximization is a branch-and-bound on the same caps.  Admissibility
+only shrinks down the tree and later terms are never below the last one, so
+below a node of length d at most the sum of cap(g) over its admissible
+candidates, less the copies of the last term already used, more terms fit.
+A node whose d plus that sum does not exceed the best length found has its
+children dropped; as ties never replace the best, the witness stays the
+lexicographically least one.  The bound is off when collecting, which needs
+every sequence, and on the self-closed row (L = N, or an interval reaching
+the limit), where cap(g) = ord(g) - 1 barely prunes and costs more time than
+it saves.
 
 Every maximization restricts the first term to the elements that come first
 in their Aut(G)-orbit (``groups.orbit_minima``, read from Ulm classes).  The
@@ -64,20 +68,20 @@ trick the flag mask), and different prefixes often reach the same pair.
 Per DFS call, ``memo[t]`` maps a state to the longest extension found below
 a node with that key.  A node with children left after the flag and root
 masks whose key is stored skips its subtree when its length plus that
-extension neither exceeds the best length found (ties never replace the
-best, so the witness stays the lexicographically least) nor reaches the
-horizon (so a subtree that would be cut there is still searched).  An
-extension is stored only for a subtree not cut at the horizon, so every
-entry is exact.  The table holds at most ``_TABLE_ENTRIES`` (8,192)
-entries and is cleared when full, which bounds its memory and keeps node
-counts deterministic.  A skipping node counts as one visited node and its
-subtree counts nothing.  The table is local to one call, so partitioned
-subtasks keep node counts that do not depend on the worker count.
+extension does not exceed the best length found (ties never replace the
+best, so the witness stays the lexicographically least).  Nothing below the
+limit is cut, so every entry is exact.  The table holds at most
+``_TABLE_ENTRIES`` (8,192) entries and is cleared when full, which bounds
+its memory and keeps node counts deterministic.  A skipping node counts as
+one visited node and its subtree counts nothing.  The table is local to one
+call, so partitioned subtasks keep node counts that do not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -85,7 +89,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .groups import GroupSpec, _invertible_matrices, d_star, group_table, is_prime, orbit_minima
+from .groups import GroupSpec, _invertible_matrices, group_table, is_prime, orbit_minima
 from .sequences import LengthSet, Sequence, orbit_canonical, sigma
 
 _DEFAULT_NODE_BUDGET = 10**8
@@ -104,8 +108,11 @@ class SearchConfig:
     replaces that by the flag trick on homocyclic groups of prime exponent
     (same value, possibly another witness) and changes nothing on other
     groups.  A positive ``parallel_depth`` splits the tree into subtasks at
-    that depth; ``workers`` > 1 runs them in a process pool and, with
-    ``parallel_depth`` 0, splits at depth 2.
+    that depth; ``workers`` > 1 runs them in a process pool of at most that
+    many processes (and no more than the subtasks or the usable CPUs) and,
+    with ``parallel_depth`` 0, splits at depth 2.  Searches have no depth
+    cap: the multiplicity caps bound the tree, so only the budgets can stop
+    a search short.
     """
 
     node_budget: int = _DEFAULT_NODE_BUDGET
@@ -113,17 +120,14 @@ class SearchConfig:
     symmetry_reduction: bool = False
     parallel_depth: int = 0
     workers: int = 1
-    horizon: int | None = None  # None -> 4 * d_star(G)
 
     def __post_init__(self):
         if not self.node_budget >= 1:
             raise InvalidInputError("node_budget must be positive")
         if self.time_budget is not None and not self.time_budget > 0:
             raise InvalidInputError("time_budget must be positive")
-        if not all(isinstance(n, int) for n in (self.horizon or 1, self.parallel_depth, self.workers)):
-            raise InvalidInputError("horizon, parallel_depth and workers must be integers")
-        if self.horizon is not None and self.horizon < 1:
-            raise InvalidInputError("horizon must be >= 1")
+        if not all(isinstance(n, int) for n in (self.parallel_depth, self.workers)):
+            raise InvalidInputError("parallel_depth and workers must be integers")
         if self.parallel_depth < 0 or self.workers < 1:
             raise InvalidInputError("bad parallel settings")
 
@@ -146,8 +150,9 @@ class SearchResult:
 
     ``value`` is set only when the search completed and the invariant is
     finite; ``infinite`` marks a certified failure of finiteness; otherwise
-    (budget or horizon exhausted) the value is unknown but ``best_length``
-    and ``witness`` carry the longest L-free sequence found.
+    a node or time budget stopped the search, and the value is unknown but
+    ``best_length`` and ``witness`` carry the longest L-free sequence found,
+    so s_L(G) >= best_length + 1.
     """
 
     group: GroupSpec
@@ -167,31 +172,35 @@ class SearchResult:
         return str(self.value)
 
 
-def _layout(L: LengthSet, horizon: int) -> tuple[int, bool, bool, tuple[int, ...]]:
+def _layout(L: LengthSet, cap: int) -> tuple[int, bool, bool, tuple[int, ...]]:
     """(rows, self-closed, at most l terms in row l, banned rows) of the
-    packed state for L.
+    packed state for L, searched to length ``cap``.
 
-    Candidates are tested at lengths below the horizon, so only the members
-    of L up to the horizon matter, and the layout reads just their mask.
-    When they form an interval [1, k], row k-1 with at most k-1 terms bans
-    what rows 0..k-1 with exactly l terms would; for k >= horizon one
-    self-closed row does.  The top row is always banned when any is.
+    Candidates are tested at lengths up to ``cap``, so only the members of L
+    up to it matter; they are read from L's kind, so the cost does not grow
+    with ``cap``.  When they form an interval [1, k], row k-1 with at most
+    k-1 terms bans what rows 0..k-1 with exactly l terms would; for
+    k >= cap one self-closed row does.  The top row is always banned when
+    any is.
     """
-    mask = L.mask(horizon)
-    if mask and not mask & (mask + 2):  # mask = [1, k]
-        k = mask.bit_length() - 1
-        return (1, True, True, (0,)) if k >= horizon else (k, False, True, (k - 1,))
-    banned = tuple(l - 1 for l in range(1, horizon + 1) if mask >> l & 1)
+    if L.kind == "explicit":
+        members = sorted(l for l in L.members if l <= cap)
+    else:  # N is [1, cap] up to cap
+        members = range(1, min(L.k or cap, cap) + 1)
+    if members and members[-1] == len(members):  # members = [1, k]
+        k = len(members)
+        return (1, True, True, (0,)) if k >= cap else (k, False, True, (k - 1,))
+    banned = tuple(l - 1 for l in members)
     return (banned[-1] + 1 if banned else 0), False, False, banned
 
 
-def _multiplicity_caps(G: GroupSpec, mask: int, limit: int) -> tuple[tuple[int, int], ...]:
+def _multiplicity_caps(G: GroupSpec, L: LengthSet) -> tuple[tuple[int, int], ...]:
     """(cap, elements) pairs, ascending in cap and omitting cap 0: how often
     each element can appear in an L-free sequence, grouped by that number.
 
     g^l sums to 0 whenever ord(g) | l, so g appears at most
-    min{l in L : ord(g) | l} - 1 times; with no such l in ``mask`` (the
-    members of L up to ``limit``) the cap is ``limit``.
+    min{l in L : ord(g) | l} - 1 times: ord(g) - 1 for an interval or N.
+    Only for a finite s_L, where every order divides some member of L.
     """
     table = group_table(G)
     by_order: dict[int, int] = {}
@@ -200,9 +209,14 @@ def _multiplicity_caps(G: GroupSpec, mask: int, limit: int) -> tuple[tuple[int, 
         by_order[o] = by_order.get(o, 0) | 1 << i
     by_cap: dict[int, int] = {}
     for o, elements in by_order.items():
-        cap = next((l - 1 for l in range(o, limit + 1, o) if mask >> l & 1), limit)
+        cap = (min(l for l in L.members if l % o == 0) if L.kind == "explicit" else o) - 1
         by_cap[cap] = by_cap.get(cap, 0) | elements
     return tuple((cap, elements) for cap, elements in sorted(by_cap.items()) if cap)
+
+
+def _search_limit(G: GroupSpec, L: LengthSet) -> int:
+    """The sum of the multiplicity caps: no L-free sequence is longer."""
+    return sum(c * elements.bit_count() for c, elements in _multiplicity_caps(G, L))
 
 
 def _translation(factors: tuple[int, ...], rows: int, coords) -> tuple[tuple[int, ...], ...]:
@@ -233,26 +247,26 @@ def _translate(x: int, moves) -> int:
 class _Outcome(NamedTuple):
     """What one DFS call found: the best length (-1 if no node was visited)
     and its index stack, the nodes visited and candidates banned, whether a
-    budget stopped it or a node reached the horizon, and the sequences of
-    length ``cap`` collected (empty unless collecting)."""
+    budget stopped it, and the sequences of length ``cap`` collected (empty
+    unless collecting)."""
 
     best: int
     best_stack: tuple[int, ...] | None
     nodes: int
     pruned: int
     stopped: bool
-    hit_horizon: bool
     found: list[tuple[int, ...]]
 
 
-def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _Outcome:
+def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _Outcome:
     """One DFS over the canonical L-free multisets extending a prefix.
 
     It visits them in lexicographic order down to length ``cap``, keeping
     the longest one met first (the lexicographically least of that length);
     with ``collect`` it also records every one of length ``cap``.  A node of
-    length >= horizon is not expanded and marks the search as cut at the
-    horizon.  Every visited node counts against the node budget, the root
+    length ``cap`` is not expanded.  The maximization passes the sum of the
+    multiplicity caps, where no node has children, so it sees the whole
+    tree.  Every visited node counts against the node budget, the root
     included; a search of N nodes fits in a budget of N, and one that needs
     more, or passes the deadline, stops with ``stopped`` set.  ``symmetry``
     is None, "flag" (the flag trick: a node's children depend on its last
@@ -274,18 +288,18 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
     masks, since a leaf gains nothing.  Each open frame keeps the deepest
     length met below it: one more than its own at push, raised by table
     hits among its children and by its children's frames as they pop, so
-    leaves cost nothing.  A popped node stores that length less its own
-    only if it is below the horizon; a budget or deadline stop leaves the
-    loop before any pop.  A hit was already counted as a visited node, so
-    budgets keep their meaning.
+    leaves cost nothing.  A popped node stores that length less its own; a
+    budget or deadline stop leaves the loop before any pop, so every entry
+    is exact.  A hit was already counted as a visited node, so budgets keep
+    their meaning.
     """
     table = group_table(G)
     m = len(table.elements)
     factors = G.factors
-    rows, closed, at_most, banned_rows = _layout(L, horizon)
+    rows, closed, at_most, banned_rows = _layout(L, cap)
     # The bound is off on the self-closed layout: there cap = ord - 1, too
     # weak to pay for itself.
-    caps = None if closed or collect else _multiplicity_caps(G, L.mask(horizon), horizon)
+    caps = None if closed or collect else _multiplicity_caps(G, L)
     row = (1 << m) - 1
     full = (1 << rows * m) - 1
     step = 0 if closed else m
@@ -306,7 +320,7 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
         y |= (_translate(y, move_by(gi)) << step) & full
 
     roots = orbit_minima(G) if symmetry == "roots" and not prefix else row
-    # memo[t]: state -> longest extension below an uncut node with last term t.
+    # memo[t]: state -> longest extension below a node with last term t.
     memo = [{} for _ in range(m)] if closed and not collect else None
     stored = 0
     # flag[t]: the indices <= q(t), the least power of p above t; one int per q.
@@ -321,12 +335,14 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
     found: list[tuple[int, ...]] = []
     nodes = pruned = 0
     best, best_stack = -1, None
-    hit = stopped = False
+    stopped = False
     # Node count at which to look at the budget and the clock next.
     check = node_budget if deadline is None else min(node_budget, 4096)
 
     base = len(prefix)
-    seq = list(prefix) + [0] * max(cap - base, 0)
+    # The stack of terms grows as the search goes deeper: sized by ``cap``
+    # it could hold billions of slots that a budgeted search never reaches.
+    seq = list(prefix)
     # Per expanded node: [state, unvisited children], and with the table the
     # deepest length met below it so far.
     frames: list[list] = []
@@ -344,8 +360,6 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
             best = depth
             best_stack = tuple(seq[:depth])
         if depth >= cap:
-            if depth >= horizon:
-                hit = True
             if collect:
                 found.append(tuple(seq[:depth]))
         else:
@@ -378,7 +392,7 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
                     frames.append([y, avail])
                 else:
                     ext = memo[start].get(y)
-                    if ext is not None and depth + ext <= best and depth + ext < horizon:
+                    if ext is not None and depth + ext <= best:
                         # A hit; never at the root, whose table is empty.
                         parent = frames[-1]
                         parent[2] = max(parent[2], depth + ext)
@@ -394,16 +408,15 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
                 break
             frames.pop()
             if memo is not None and frames:
-                # The node seq[:d] is done; store its extension if uncut.
+                # The node seq[:d] is done; store its extension.
                 deepest = frame[2]
-                if deepest < horizon:
-                    if stored == _TABLE_ENTRIES:
-                        for entries in memo:
-                            entries.clear()
-                        stored = 0
-                    d = base + len(frames)
-                    memo[seq[d - 1]][frame[0]] = deepest - d
-                    stored += 1
+                if stored == _TABLE_ENTRIES:
+                    for entries in memo:
+                        entries.clear()
+                    stored = 0
+                d = base + len(frames)
+                memo[seq[d - 1]][frame[0]] = deepest - d
+                stored += 1
                 parent = frames[-1]
                 if deepest > parent[2]:
                     parent[2] = deepest
@@ -413,7 +426,10 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
         frame[1] = avail ^ low
         start = low.bit_length() - 1
         depth = base + len(frames)
-        seq[depth - 1] = start
+        if depth > len(seq):
+            seq.append(start)
+        else:
+            seq[depth - 1] = start
         x = frame[0]
         move = moves[start]
         if move is None:
@@ -423,11 +439,7 @@ def _dfs(G, L, horizon, node_budget, deadline, symmetry, prefix, cap, collect=Fa
             y = ((y & lo) << up) | ((y & hi) >> down)
         y = x | ((y << step) & full)
 
-    return _Outcome(best, best_stack, nodes, pruned, stopped, hit, found)
-
-
-def _effective_horizon(G: GroupSpec, cfg: SearchConfig) -> int:
-    return cfg.horizon if cfg.horizon is not None else max(4 * d_star(G), 1)
+    return _Outcome(best, best_stack, nodes, pruned, stopped, found)
 
 
 def _symmetry_applicable(G: GroupSpec, cfg: SearchConfig) -> str:
@@ -444,46 +456,48 @@ def _deadline(cfg: SearchConfig) -> float | None:
     return time.monotonic() + cfg.time_budget if cfg.time_budget else None
 
 
-def _run_partitioned(G, L, cfg, depth, horizon, symmetry) -> _Outcome:
+def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
     """Split the DFS tree at ``depth`` into independent subtasks.
 
     Outcomes merge in tree order, so ties keep the serial witness, and the
     subtasks share the node budget as if run one after another: a pool
     result that would not fit in what is left is searched again with exactly
     that budget.  The outcome does not depend on scheduling or worker count.
+    The pool starts at most one process per worker, subtask and usable CPU.
     """
     deadline = _deadline(cfg)
-    split = _dfs(G, L, horizon, cfg.node_budget, deadline, symmetry, (), min(depth, horizon),
-                 collect=True)
+    split = _dfs(G, L, cfg.node_budget, deadline, symmetry, (), min(depth, limit), collect=True)
     if split.stopped or not split.found:
         # Cut during the partition phase, or the whole tree is shallower
         # than the partition depth: that search is the answer.
         return split
     best, best_stack = split.best, split.best_stack
-    nodes, pruned, stopped, hit_horizon = split.nodes, split.pruned, False, split.hit_horizon
+    nodes, pruned, stopped = split.nodes, split.pruned, False
     futures = [None] * len(split.found)
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    size = min(cfg.workers, len(split.found), cpus)
+    pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
     try:
         if pool is not None:
-            futures = [pool.submit(_dfs, G, L, horizon, cfg.node_budget - nodes, deadline,
-                                   symmetry, pfx, horizon) for pfx in split.found]
+            futures = [pool.submit(_dfs, G, L, cfg.node_budget - nodes, deadline, symmetry, pfx,
+                                   limit) for pfx in split.found]
         for pfx, future in zip(split.found, futures):
             left = cfg.node_budget - nodes
             sub = future.result() if future is not None else None
             if sub is None or sub.nodes > left:
-                sub = _dfs(G, L, horizon, left, deadline, symmetry, pfx, horizon)
+                sub = _dfs(G, L, left, deadline, symmetry, pfx, limit)
             if sub.best > best:
                 best, best_stack = sub.best, sub.best_stack
             nodes += sub.nodes
             pruned += sub.pruned
-            hit_horizon = hit_horizon or sub.hit_horizon
             if sub.stopped:
                 stopped = True
                 break
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return _Outcome(best, best_stack, nodes, pruned, stopped, hit_horizon, [])
+    return _Outcome(best, best_stack, nodes, pruned, stopped, [])
 
 
 def _sequence_from_indices(G: GroupSpec, indices) -> Sequence:
@@ -499,30 +513,30 @@ def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchRe
     s_L(G) is finite iff some member of L is a multiple of exp(G).  If
     none is, copies of an element of order exp(G) are L-free at every
     length, so the result is certified infinite without searching.  If
-    exp(G) | l for some l in L, any sequence of length |G|(l-1)+1 repeats
-    some element l times, and those l copies sum to 0.  A finite s_L is
-    searched to the configured horizon, and reported unknown if any branch
-    was cut there.
+    exp(G) | l for some l in L, every order divides some member of L, so
+    no L-free sequence is longer than the sum of the multiplicity caps
+    (see the module docstring).  The search runs to that limit, and the
+    value is unknown only when a node or time budget stops it.
     """
     cfg = cfg or SearchConfig()
     t0 = time.monotonic()
     if not L.has_multiple_of(G.exponent):
         return SearchResult(G, L, None, True, True, None, None,
                             SearchStats(0, 0, time.monotonic() - t0, "none"))
-    horizon = _effective_horizon(G, cfg)
+    limit = _search_limit(G, L)
     symmetry = _symmetry_applicable(G, cfg)
 
     # Several workers need subtasks to share out: split at depth 2 unless
     # the config names a depth.
     depth = cfg.parallel_depth or (2 if cfg.workers > 1 else 0)
     if depth > 0:
-        outcome = _run_partitioned(G, L, cfg, depth, horizon, symmetry)
+        outcome = _run_partitioned(G, L, cfg, depth, limit, symmetry)
     else:
-        outcome = _dfs(G, L, horizon, cfg.node_budget, _deadline(cfg), symmetry, (), horizon)
+        outcome = _dfs(G, L, cfg.node_budget, _deadline(cfg), symmetry, (), limit)
     best = outcome.best
 
     seconds = time.monotonic() - t0
-    complete = not outcome.stopped and not outcome.hit_horizon
+    complete = not outcome.stopped
     witness = (_sequence_from_indices(G, outcome.best_stack)
                if outcome.best_stack is not None else None)
     value = best + 1 if complete and best >= 0 else None
@@ -583,8 +597,8 @@ def enumerate_extremal(G: GroupSpec, L: LengthSet, length: int,
     if up_to_automorphism:
         _invertible_matrices(G)  # refuses an unsupported G before the search
     cfg = cfg or SearchConfig()
-    outcome = _dfs(G, L, max(length, 1), cfg.node_budget, _deadline(cfg),
-                   "roots" if up_to_automorphism else None, (), length, collect=True)
+    outcome = _dfs(G, L, cfg.node_budget, _deadline(cfg), "roots" if up_to_automorphism else None,
+                   (), length, collect=True)
     seqs = [_sequence_from_indices(G, idx) for idx in outcome.found]
     if up_to_automorphism:
         seqs = [S for S in seqs if orbit_canonical(S) == S]

@@ -315,28 +315,6 @@ def subsequence_count_table(S: Sequence, mod: int | None = None, max_len: int | 
     return [[x >> b & field for b in shifts] for x in packed]
 
 
-def count_subseq(S: Sequence, g: GroupElement, k: int, mod: int | None = None) -> int:
-    """Number of subsequences of S (as index subsets) of length k with sum g."""
-    if g.group != S.group:
-        raise GroupMismatchError("element from a different group")
-    if k < 0 or k > S.length:
-        return 0
-    counts = subsequence_count_table(S, mod=mod, max_len=k)
-    return counts[group_table(S.group).index[g.coords]][k]
-
-
-def n_plus_minus(S: Sequence, g: GroupElement, p: int) -> tuple[int, int]:
-    """(even-length count, odd-length count) of subsequences summing to g,
-    both mod p.  The empty subsequence counts toward the even side of g=0."""
-    if g.group != S.group:
-        raise GroupMismatchError("element from a different group")
-    counts = subsequence_count_table(S, mod=p)
-    row = counts[group_table(S.group).index[g.coords]]
-    even = sum(row[l] for l in range(0, len(row), 2)) % p
-    odd = sum(row[l] for l in range(1, len(row), 2)) % p
-    return even, odd
-
-
 def apply_automorphism(phi: Automorphism, S: Sequence) -> Sequence:
     if phi.group != S.group:
         raise GroupMismatchError("automorphism of a different group")

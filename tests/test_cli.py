@@ -86,6 +86,24 @@ class TestInvariant:
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["value"] == "unknown"
 
+    def test_unknown_reports_the_bound_reached(self):
+        # Only a budget leaves a value unknown; the result says how far the
+        # search got: s >= best_length + 1.
+        args = ("invariant", "C3^3", "--leq", "3", "--budget-nodes", "1000")
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        payload = json.loads(proc.stdout)
+        assert list(payload)[list(payload).index("witness") + 1] == "best_length"
+        assert payload["value"] == "unknown" and payload["best_length"] == 16
+        assert len(Sequence.parse(make_group([3, 3, 3]), payload["witness"])) == 16
+        proc = run_cli(*args, "--format", "text")
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines()[0] == "s_[1,3](C3^3) = unknown (>= 17)"
+
+    def test_horizon_flag_removed(self):
+        proc = run_cli("invariant", "C3^2", "--davenport", "--horizon", "5")
+        assert_usage_error(proc.returncode, proc.stderr, "invariant")
+
     def test_requires_exactly_one_selector(self):
         proc = run_cli("invariant", "C3^2")
         assert_usage_error(proc.returncode, proc.stderr, "invariant")

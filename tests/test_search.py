@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import assume, given
@@ -18,6 +20,7 @@ from zerosum import (
     enumerate_minimal_zero_sum,
     eta,
     feasibility,
+    known_s_leq,
     make_group,
     min_zero_sum_length,
     orbit_canonical,
@@ -27,11 +30,14 @@ from zerosum import (
     s_leq,
     sigma,
 )
+from zerosum import search
 from zerosum.groups import d_star, group_table, is_prime
 from zerosum.search import (
     _dfs,
-    _effective_horizon,
+    _layout,
+    _multiplicity_caps,
     _run_partitioned,
+    _search_limit,
     _sequence_from_indices,
     _translate,
     _translation,
@@ -151,18 +157,17 @@ class TestBudgets:
         assert result.best_length is not None
         assert result.value_label() == "unknown"
 
-    def test_horizon_cut_reports_incomplete(self):
-        result = davenport(C32, SearchConfig(horizon=3))
-        assert not result.complete and result.value is None
-        assert result.best_length == 3
-
-    def test_horizon_above_answer_is_complete(self):
-        result = davenport(C32, SearchConfig(horizon=6))
-        assert result.complete and result.value == 5
-
     def test_deep_tree_does_not_recurse(self):
         result = davenport(make_group([1500]), SearchConfig(node_budget=5000))
         assert not result.complete and result.best_length == 1499
+
+    def test_budget_bounds_memory_on_a_large_group(self):
+        # The search limit of C100000 is about 5 * 10^9 terms; nothing is
+        # sized by it, so a budgeted search stops at once.
+        G = make_group([100_000])
+        assert _search_limit(G, LengthSet.all_positive()) > 10**9
+        result = davenport(G, SearchConfig(node_budget=1000))
+        assert (result.complete, result.best_length, result.stats.nodes) == (False, 999, 1000)
 
     @pytest.mark.parametrize(
         "factors,L,budget,complete,best_length",
@@ -219,10 +224,8 @@ class TestBudgets:
         with pytest.raises(InvalidInputError):
             SearchConfig(time_budget=float("nan"))
         with pytest.raises(InvalidInputError):
-            SearchConfig(horizon=0)
-        with pytest.raises(InvalidInputError):
             SearchConfig(workers=0)
-        for bad in ({"horizon": 2.5}, {"parallel_depth": 1.5}, {"workers": 2.0}):
+        for bad in ({"parallel_depth": 1.5}, {"workers": 2.0}):
             with pytest.raises(InvalidInputError, match="must be integers"):
                 SearchConfig(**bad)
         with pytest.raises(InvalidInputError, match="must be an integer"):
@@ -245,19 +248,18 @@ class TestStateLayout:
         [
             # L = N: one self-closed row.
             (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 54, 118)),
-            # Interval [1,k], k < horizon: k rows of "at most l terms".
+            # Interval [1,k] below the limit: k rows of "at most l terms".
             (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 50, 91)),
             (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 43, 77)),
-            # Interval reaching the horizon collapses to the self-closed row.
-            (lambda: s_leq(C32, 6, SearchConfig(horizon=6)), (5, "0,1^2; 1,0^2", 54, 118)),
+            # Interval reaching the limit (16 on C3^2: eight elements of
+            # order 3, two copies each) collapses to the self-closed row.
+            (lambda: s_leq(C32, 16), (5, "0,1^2; 1,0^2", 54, 118)),
             # Singleton and explicit sets: rows of exactly l terms.
             (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 352, 547)),
             (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 496, 858)),
-            # Singleton beyond the horizon: nothing banned, cut at the horizon.
-            # (The length is a multiple of exp = 3, or s_L is certified
-            # infinite before any search.)
-            (lambda: s_L(C32, LengthSet.exactly(6), SearchConfig(horizon=3)),
-             (None, "0,0^3", 101, 0)),
+            # A singleton above the exponent, searched to the limit:
+            # s_{kn}(C_n^2) = kn + 2n - 2.
+            (lambda: s_L(C32, LengthSet.exactly(6)), (10, "0,0^5; 0,1^2; 1,0^2", 6547, 8955)),
         ],
     )
     def test_pinned_counts(self, run, expected):
@@ -266,17 +268,30 @@ class TestStateLayout:
                 result.stats.pruned) == expected
 
     @pytest.mark.parametrize("factors", [[3, 3], [2, 4]])
-    @pytest.mark.parametrize("k,horizon", [(3, None), (5, None), (6, 6), (8, 6)])
-    def test_explicit_interval_runs_as_interval(self, factors, k, horizon):
-        # The layout reads only L's mask: {1, ..., k} and [1, k] get the
-        # same rows, below the horizon and at or above it.
+    @pytest.mark.parametrize("k,split", [(3, None), (5, None), (6, 6), (8, 6), (16, 6), (18, 6)])
+    def test_explicit_interval_runs_as_interval(self, factors, k, split):
+        # The layout reads only the members of L up to the depth searched:
+        # {1, ..., k} and [1, k] get the same rows, below the limit and at
+        # or above it (the limit is 16 on C3^2 and 15 on C2xC4), serially
+        # or split at a depth.
         G = make_group(factors)
-        cfg = SearchConfig(horizon=horizon)
+        cfg = SearchConfig(parallel_depth=split or 0)
         explicit = s_L(G, LengthSet.of(range(1, k + 1)), cfg)
         interval = s_L(G, LengthSet.up_to(k), cfg)
         assert (explicit.value, explicit.witness, explicit.stats.nodes,
                 explicit.stats.pruned) == (interval.value, interval.witness,
                                            interval.stats.nodes, interval.stats.pruned)
+
+    @pytest.mark.parametrize("L,expected", [
+        (LengthSet.all_positive(), (1, True, True, (0,))),
+        (LengthSet.up_to(4), (4, False, True, (3,))),
+        (LengthSet.of([1, 2, 3]), (3, False, True, (2,))),
+        (LengthSet.of([3, 6]), (6, False, False, (2, 5))),
+    ], ids=lambda v: v.label() if isinstance(v, LengthSet) else "")
+    def test_layout_cost_does_not_grow_with_the_depth(self, L, expected):
+        # A search limit can run to billions of terms; the layout is read
+        # from L's kind and members, never from a mask that long.
+        assert _layout(L, 10**15) == expected
 
     @given(st.data())
     def test_masked_rotation_matches_add_row(self, data):
@@ -318,36 +333,35 @@ class TestDeterminismAndModes:
 
 
 def bound_cases():
-    """(factors, L, horizon) over six small groups.  L runs over one-row and
+    """(factors, L, split) over seven small groups.  L runs over one-row and
     two-row intervals, an interval, explicit sets and {exp}; an L with no
     multiple of exp(G) is certified infinite before any search.  C2xC6 is
     here because {3,6} on it is where a cap one too small changes the
-    witness."""
+    witness.  Each runs serially (split None) and split at depth 6."""
     for factors in ([3, 3], [2, 4], [2, 2, 2], [6], [4, 4], [3, 6], [2, 6]):
         for L in (LengthSet.of([1]), LengthSet.of([1, 2]), LengthSet.up_to(3),
                   LengthSet.of([2, 4]), LengthSet.exactly(max(factors)), LengthSet.of([3, 6])):
-            for horizon in (None, 6):
-                yield pytest.param(factors, L, horizon, id=f"{factors}-{L.label()}-{horizon}")
+            for split in (None, 6):
+                yield pytest.param(factors, L, split, id=f"{factors}-{L.label()}-{split}")
 
 
 class TestBound:
     """The multiplicity-cap bound drops only subtrees that cannot beat the
     best length found, so the maximization keeps the value and the
     lexicographically least witness of the collect path, which never
-    applies the bound."""
+    applies the bound; split into subtasks, each starting from its own
+    best, too."""
 
-    @pytest.mark.parametrize("factors,L,horizon", bound_cases())
-    def test_matches_unbounded_collect(self, factors, L, horizon):
+    @pytest.mark.parametrize("factors,L,split", bound_cases())
+    def test_matches_unbounded_collect(self, factors, L, split):
         G = make_group(factors)
-        result = s_L(G, L, SearchConfig(horizon=horizon))
+        result = s_L(G, L, SearchConfig(parallel_depth=split or 0))
         if not L.has_multiple_of(G.exponent):
             assert result.infinite and result.stats.nodes == 0
             return
+        assert result.complete
         longest = enumerate_extremal(G, L, result.best_length)
         assert longest.complete and result.witness == longest.sequences[0]
-        if not result.complete:  # cut at the horizon
-            assert result.best_length == horizon
-            return
         assert enumerate_extremal(G, L, result.value).sequences == ()
         # The oracle scans every multiset of length s_L; C4^2 and C3xC6
         # have millions.
@@ -392,14 +406,14 @@ def root_restricted_cases(max_order):
 def unrestricted(G, L, cfg):
     """The maximization over every first term, split as ``cfg`` asks: the
     reference for the orbit-minimum first terms every search uses."""
-    horizon = _effective_horizon(G, cfg)
+    limit = _search_limit(G, L)
     if cfg.parallel_depth:
-        return _run_partitioned(G, L, cfg, cfg.parallel_depth, horizon, None)
-    return _dfs(G, L, horizon, cfg.node_budget, None, None, (), horizon)
+        return _run_partitioned(G, L, cfg, cfg.parallel_depth, limit, None)
+    return _dfs(G, L, cfg.node_budget, None, None, (), limit)
 
 
 def assert_same_as_unrestricted(G, result, reference):
-    complete = not reference.stopped and not reference.hit_horizon
+    complete = not reference.stopped
     assert (result.value, result.witness, result.complete, result.best_length) == (
         reference.best + 1 if complete else None,
         _sequence_from_indices(G, reference.best_stack), complete, reference.best)
@@ -416,26 +430,24 @@ class TestRootRestriction:
     def test_same_answer_as_plain_search(self, factors, L):
         G = make_group(factors)
         reference = unrestricted(G, L, SearchConfig())
-        assert not reference.stopped and not reference.hit_horizon
+        assert not reference.stopped
         assert_same_as_unrestricted(G, s_L(G, L), reference)
 
     @pytest.mark.parametrize("factors", factor_chains(24), ids=str)
     def test_grid_matches_unrestricted(self, factors):
-        # Every L of root_restricted_cases and {exp, 2 exp}, at the default
-        # horizon and at horizon 5, serially and split at depth 2.  Cases
-        # the unrestricted search does not finish within the budget are
-        # skipped.
+        # Every L of root_restricted_cases and {exp, 2 exp}, serially and
+        # split at depth 2.  Cases the unrestricted search does not finish
+        # within the budget are skipped.
         G = make_group(factors)
         n = G.exponent
         lengths = [LengthSet.all_positive(), LengthSet.exactly(n), LengthSet.of([n, 2 * n])]
         lengths += [LengthSet.up_to(k) for k in range(n, d_star(G))]
         for L in lengths:
-            for horizon in (None, 5):
-                for depth in (0, 2):
-                    cfg = SearchConfig(node_budget=20_000, horizon=horizon, parallel_depth=depth)
-                    reference = unrestricted(G, L, cfg)
-                    if not reference.stopped:
-                        assert_same_as_unrestricted(G, s_L(G, L, cfg), reference)
+            for depth in (0, 2):
+                cfg = SearchConfig(node_budget=20_000, parallel_depth=depth)
+                reference = unrestricted(G, L, cfg)
+                if not reference.stopped:
+                    assert_same_as_unrestricted(G, s_L(G, L, cfg), reference)
 
     def test_fewer_nodes(self):
         # C4^2 has three orbits: 0, the elements of order 4, those of order 2.
@@ -460,50 +472,61 @@ class TestFlagTrick:
                                                ([5, 5], 412), ([7, 7], 1400), ([3, 3, 3], 108)],
                              ids=str)
     def test_nodes_with_no_member_of_L_in_the_horizon(self, factors, nodes):
-        # L = {2p} bans nothing below the horizon 4, so the search visits
-        # every flag-admissible sorted tuple of at most 4 terms.
+        # L = {2p} bans nothing in the first 4 terms, so a DFS to length 4
+        # (its horizon) has a state of zero rows and visits every
+        # flag-admissible sorted tuple of at most 4 terms.
         G = make_group(factors)
-        result = s_L(G, LengthSet.exactly(2 * G.exponent),
-                     SearchConfig(symmetry_reduction=True, horizon=4))
-        assert (result.complete, result.best_length) == (False, 4)
-        assert result.stats.nodes == brute_flag_count(factors, 4) == nodes
+        outcome = _dfs(G, LengthSet.exactly(2 * G.exponent), 10**6, None, "flag", (), 4,
+                       collect=True)
+        assert (outcome.stopped, outcome.best) == (False, 4)
+        assert outcome.nodes == brute_flag_count(factors, 4) == nodes
 
 
 def table_cases(max_order, limit=9_000):
-    """(factors, L, horizon) on the self-closed layout for every chain of
-    order <= max_order.  L = N runs at the default horizon on chains of
-    order <= 20, whose whole trees are small, and on C2^5, where the table
-    skips the most (9,149 of its 114,205 nodes are visited).  Each horizon
-    h in 3..7 with h <= d*(G) < D(G), which cuts the search, runs while there
-    are at most ``limit`` multisets of h terms, with [1, k] for odd h and N
-    for even h; k >= h, and k >= exp(G) keeps s_L finite."""
+    """(factors, L, split depth) for every chain of order <= max_order.
+    L = N is split at depth 2 on chains of order <= 20, whose whole trees
+    are small, and on C2^5, where the table skips the most (9,149 of its
+    114,205 nodes are visited); [1, k] with k at the limit is split at
+    depth 2 on C3^2 and C2xC4.  Each depth h in 3..min(7, d*(G)) runs while
+    there are at most ``limit`` multisets of h terms for the partition phase
+    to collect: L = N for even h, and [1, max(h, exp(G))] for odd h on
+    chains of order <= 24.  That k is below the limit except on C2^2, so
+    those rows hold the multiplicity-cap bound, not the table, to the same
+    oracle."""
+    N = LengthSet.all_positive()
     for factors in factor_chains(max_order):
         G = make_group(factors)
         if G.order <= 20 or factors == (2, 2, 2, 2, 2):
-            yield pytest.param(factors, LengthSet.all_positive(), None, id=f"{factors}-N")
+            yield pytest.param(factors, N, 2, id=f"{factors}-N")
         for h in range(3, min(7, d_star(G)) + 1):
             if math.comb(G.order + h - 1, h) > limit:
                 break
-            L = LengthSet.up_to(max(h, G.exponent)) if h % 2 else LengthSet.all_positive()
-            yield pytest.param(factors, L, h, id=f"{factors}-{L.label()}-{h}")
+            if h % 2 == 0:
+                yield pytest.param(factors, N, h, id=f"{factors}-N-{h}")
+            elif G.order <= 24:
+                L = LengthSet.up_to(max(h, G.exponent))
+                yield pytest.param(factors, L, h, id=f"{factors}-{L.label()}-{h}")
+    for factors, k in (((3, 3), 16), ((2, 4), 15)):
+        yield pytest.param(factors, LengthSet.up_to(k), 2, id=f"{factors}-[1,{k}]")
 
 
 class TestTranspositionTable:
     """On the self-closed layout the DFS skips a subtree whose (last term,
-    state) it has already searched, when that cannot beat the best length or
-    reach the horizon.  The value, witness and completeness stay those of
-    the collect path, which never uses the table."""
+    state) it has already searched, when that cannot beat the best length.
+    The value, witness and completeness stay those of the collect path,
+    which never uses the table, serially and in subtasks with a table
+    each."""
 
-    @pytest.mark.parametrize("factors,L,horizon", table_cases(36))
-    def test_matches_collect(self, factors, L, horizon):
+    @pytest.mark.parametrize("factors,L,split", table_cases(36))
+    def test_matches_collect(self, factors, L, split):
         G = make_group(factors)
         flag = G.is_homocyclic() and is_prime(G.exponent)
         expected = {}
         # symmetry_reduction changes nothing off the flag trick's groups.
         for symmetry in (False, True) if flag else (False,):
-            runs = [s_L(G, L, SearchConfig(horizon=horizon, symmetry_reduction=symmetry,
+            runs = [s_L(G, L, SearchConfig(symmetry_reduction=symmetry,
                                            parallel_depth=depth, workers=workers))
-                    for depth, workers in ((0, 1), (2, 1), (2, 2))]
+                    for depth, workers in ((0, 1), (split, 1), (split, 2))]
             serial = runs[0]
             for result in runs:
                 assert (result.value, result.witness, result.complete, result.best_length) == (
@@ -516,25 +539,18 @@ class TestTranspositionTable:
                     # The flag trick keeps the least sequence that obeys the flag rule.
                     expected[True] = next(S for S in longest if brute_obeys_flag(
                         [g.coords for g in S.expand()], factors))
-                if serial.complete:
-                    assert enumerate_extremal(G, L, serial.value).sequences == ()
-                else:
-                    assert serial.best_length == horizon
+                assert serial.complete
+                assert enumerate_extremal(G, L, serial.value).sequences == ()
             assert serial.witness == expected[symmetry]
 
-    @pytest.mark.parametrize("factors,horizon,nodes", [
+    @pytest.mark.parametrize("factors,cfg,nodes", [
         # With every first term: 114,205 and 24,643 nodes without the table,
         # 9,149 and 9,611 with it (C3^2 is pinned in TestStateLayout).
         ([2, 2, 2, 2, 2], None, 2_228),
         ([2, 10], None, 4_479),
-        # Cut at the horizon (3,595 and 976 nodes with every first term and
-        # without the table, 3,491 and 870 with it): no entry is stored
-        # above a cut, and none is used where it would reach the horizon.
-        ([4, 4], 5, 1_257),
-        ([12], 6, 642),
     ], ids=str)
-    def test_pinned_counts(self, factors, horizon, nodes):
-        result = davenport(make_group(factors), SearchConfig(horizon=horizon))
+    def test_pinned_counts(self, factors, cfg, nodes):
+        result = davenport(make_group(factors), cfg)
         assert result.stats.nodes == nodes
 
     @pytest.mark.parametrize("factors,cfg,nodes", [
@@ -548,6 +564,114 @@ class TestTranspositionTable:
         for budget, complete in ((nodes, True), (nodes - 1, False)):
             result = davenport(G, dataclasses.replace(cfg, node_budget=budget))
             assert (result.complete, result.stats.nodes) == (complete, budget)
+
+
+class TestNoHorizon:
+    """No L-free sequence is longer than the sum of the multiplicity caps,
+    and every search runs to that limit, so only a budget leaves an answer
+    unknown.  Rows that a depth cap of 4 d*(G) used to leave unknown are
+    exact and equal their closed forms: s_<=2(C2^r) = 2^r and
+    s_<=3(C2^r) = 2^(r-1) + 1 (FS10/L69/WZ17), and s_{2}(C2^r) = 2^r + 1,
+    since an L-free sequence for L = {2} has distinct terms."""
+
+    @pytest.mark.parametrize("r,L,symmetry,nodes", [
+        (5, LengthSet.up_to(2), True, 172),
+        (5, LengthSet.up_to(2), False, 467),
+        (5, LengthSet.exactly(2), True, 174),
+        (5, LengthSet.exactly(2), False, 499),
+        (6, LengthSet.up_to(2), True, 684),
+        (6, LengthSet.up_to(2), False, 1_955),
+        (6, LengthSet.up_to(3), True, 4_720),
+    ], ids=lambda v: v.label() if isinstance(v, LengthSet) else str(v))
+    def test_closed_forms(self, r, L, symmetry, nodes):
+        G = make_group([2] * r)
+        expected = known_s_leq(G, L.k).value if L.kind == "interval" else 2 ** G.rank + 1
+        serial = s_L(G, L, SearchConfig(symmetry_reduction=symmetry))
+        split = s_L(G, L, SearchConfig(symmetry_reduction=symmetry, parallel_depth=2))
+        assert (serial.value, serial.complete, serial.stats.nodes) == (expected, True, nodes)
+        assert (split.value, split.witness, split.complete) == (expected, serial.witness, True)
+
+    @pytest.mark.parametrize("factors", factor_chains(16), ids=str)
+    def test_only_a_budget_stops(self, factors):
+        # A search that ends incomplete has spent its whole node budget.
+        G = make_group(factors)
+        n = G.exponent
+        lengths = [LengthSet.all_positive(), LengthSet.exactly(n), LengthSet.exactly(2 * n),
+                   LengthSet.of([n, 2 * n])]
+        lengths += [LengthSet.up_to(k) for k in range(n, d_star(G))]
+        for L in lengths:
+            limit = _search_limit(G, L)
+            for budget in (40, 5_000):
+                for depth in (0, 2):
+                    result = s_L(G, L, SearchConfig(node_budget=budget, parallel_depth=depth))
+                    assert result.complete or result.stats.nodes == budget
+                    assert result.best_length <= limit
+                    if result.complete:
+                        assert result.value == result.best_length + 1
+
+    def test_caps_read_from_L(self):
+        # On C6 (indices = elements): 0 has order 1, 3 order 2, 2 and 4
+        # order 3, 1 and 5 order 6.  An explicit L caps each order at its
+        # least multiple in L, less one; N caps it at ord - 1.
+        C6 = make_group([6])
+        assert _multiplicity_caps(C6, LengthSet.of([2, 3, 6])) == (
+            (1, 0b001001), (2, 0b010100), (5, 0b100010))
+        assert _multiplicity_caps(C6, LengthSet.of([4, 6])) == (
+            (3, 0b001001), (5, 0b110110))
+        assert _multiplicity_caps(C6, LengthSet.all_positive()) == (
+            (1, 0b001000), (2, 0b010100), (5, 0b100010))
+
+    def test_horizon_is_gone(self):
+        with pytest.raises(TypeError):
+            SearchConfig(horizon=5)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ProcessPoolExecutor by a stand-in that runs each task in
+    this process, so no pool is ever started; returns the list of pool
+    sizes the search asked for."""
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+    return sizes
+
+
+class TestPoolSize:
+    C333 = make_group([3, 3, 3])
+
+    @pytest.mark.parametrize("workers,cpus", [(100_000, 3), (2, 64), (100_000, 10**6)])
+    def test_at_most_workers_subtasks_and_cpus(self, pool_sizes, monkeypatch, workers, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
+        L = LengthSet.up_to(4)
+        subtasks = len(_dfs(self.C333, L, 10**6, None, "roots", (), 2, collect=True).found)
+        result = s_L(self.C333, L, SearchConfig(workers=workers))
+        assert pool_sizes == [min(workers, subtasks, cpus)]
+        assert (result.value, result.stats.nodes) == (10, 46_200)
+
+    def test_cpu_count_without_affinity(self, pool_sizes, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        s_leq(self.C333, 4, SearchConfig(workers=100_000))
+        assert pool_sizes == [5]
+
+    def test_one_usable_cpu_runs_serially(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        result = s_leq(self.C333, 4, SearchConfig(workers=4))
+        assert pool_sizes == []
+        assert (result.value, result.stats.nodes) == (10, 46_200)
 
 
 class TestSequenceFromIndices:

@@ -14,13 +14,11 @@ from zerosum import (
     LengthSet,
     Sequence,
     apply_automorphism,
-    count_subseq,
     enumerate_automorphisms,
     feasibility,
     has_zero_sum_in,
     make_group,
     min_zero_sum_length,
-    n_plus_minus,
     orbit_canonical,
     sigma,
     subsequence_count_table,
@@ -287,27 +285,6 @@ class TestCountTable:
     def test_negative_max_len_rejected(self):
         with pytest.raises(InvalidInputError):
             subsequence_count_table(Sequence.empty(C32), max_len=-1)
-
-    def test_count_subseq(self):
-        S = Sequence.parse(C32, "1,0^3; 0,1^3")
-        # choosing all six terms is the only length-6 subsequence; sum is 0.
-        assert count_subseq(S, C32.zero(), 6) == 1
-        assert count_subseq(S, C32.zero(), 7) == 0
-        assert count_subseq(S, C32.zero(), -1) == 0
-        # three of one kind: C(3,3) * C(3,0) choices for sum (0,0)? both
-        # triples sum to zero, and mixing does not reach length 3 sums of 0.
-        assert count_subseq(S, C32.zero(), 3) == 2
-
-    def test_n_plus_minus_matches_brute_parity(self):
-        rng = random.Random(24)
-        for G, p in ((C23, 2), (C32, 3)):
-            for _ in range(8):
-                S = random_sequence(G, 5, rng)
-                brute = self.brute_counts(S)
-                for c in _coords(G):
-                    even = sum(brute[c][l] for l in range(0, 6, 2)) % p
-                    odd = sum(brute[c][l] for l in range(1, 6, 2)) % p
-                    assert n_plus_minus(S, G.element(c), p) == (even, odd)
 
 
 class TestAutomorphismAction:
