@@ -56,8 +56,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ap.add_argument(
         "--no-symmetry",
         action="store_true",
-        help="disable the flag trick in computed rows (orbit-minimum first "
-        "terms stay on)",
+        help="disable the flag trick in computed rows (first terms restricted "
+        "to orbit minima, or to 0 when exp(G) divides every member of L, stay on)",
     )
     ap.add_argument(
         "--time-budget",

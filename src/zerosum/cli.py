@@ -94,8 +94,9 @@ def _add_budget_flags(sub) -> None:
     sub.add_argument("--parallel-depth", type=int, default=0, metavar="P")
     sub.add_argument("--symmetry", action="store_true",
                      help="use the flag trick on prime-exponent homocyclic groups (same "
-                          "value, possibly another witness); orbit-minimum first terms, "
-                          "which keep the witness, are always on")
+                          "value, possibly another witness); first terms restricted to "
+                          "orbit minima, or to 0 when exp(G) divides every member of L, "
+                          "keep the witness and are always on")
 
 
 def _add_output_flags(sub, formats=("json", "text")) -> None:
@@ -276,9 +277,10 @@ def cmd_conjectures(args) -> int:
             mark = {True: "holds", False: "FAILS", None: "unknown"}[r.holds]
             val = f">={r.value}" if r.is_lower_bound else str(r.value)
             lines.append(f"  s_leq({r.m}) = {val} vs D+{r.j} = {r.bound}: {mark} [{r.source}]")
+        half = report.conjecture_k_half
         lines.append(f"k_G = {report.k_g if report.k_g is not None else 'unknown'}"
                      f" (conjectured (D+1)/2 = {(report.d_value + 1) / 2:g}):"
-                     f" {report.conjecture_k_half}")
+                     f" {half if half is not None else 'unknown'}")
         for r in report.kexp_rows:
             lines.append(f"  s_{{{r.k}*exp}} = {r.value} {r.relation} {r.threshold} "
                          f"({r.region}, consistent={r.consistent}) [{r.source}]")

@@ -50,6 +50,17 @@ so its first term is such an element: value and witness equal those of the
 unrestricted search.  This is the first level of orderly generation (R. C.
 Read, Ann. Discrete Math. 2 (1978); B. D. McKay, J. Algorithms 26 (1998)).
 
+When exp(G) divides every member of L, the root's only child is 0 instead.
+Then l*g = 0 for every l in L, so S - g is L-free whenever S is: the
+translation invariance behind Erdos-Ginzburg-Ziv (1961) and the
+s_{k exp(G)} literature (Gao-Geroldinger, Expo. Math. 24 (2006)).
+Translating a longest L-free sequence by minus its first term gives one
+that contains 0, which is index 0 and sorts first, so the lexicographically
+least longest one starts with 0: value and witness are unchanged.  This
+composes with the flag trick below: its images come from linear maps, which
+fix 0, so the flag tree's least longest sequence starts with 0 too (the
+flag root's children are 0 and the first flag member).
+
 ``symmetry_reduction`` (off by default) switches on the flag trick instead,
 on homocyclic groups of prime exponent only.  In canonical order, the j-th
 appended element that leaves the subgroup generated by the previous ones can
@@ -104,15 +115,17 @@ class SearchConfig:
     The time budget is wall-clock and therefore not reproducible across
     machines; results are deterministic when the search finishes or stops on
     the node budget.  Every search restricts the first term to Aut(G)-orbit
-    minima, which keeps the value and the witness.  ``symmetry_reduction``
-    replaces that by the flag trick on homocyclic groups of prime exponent
-    (same value, possibly another witness) and changes nothing on other
-    groups.  A positive ``parallel_depth`` splits the tree into subtasks at
-    that depth; ``workers`` > 1 runs them in a process pool of at most that
-    many processes (and no more than the subtasks or the usable CPUs) and,
-    with ``parallel_depth`` 0, splits at depth 2.  Searches have no depth
-    cap: the multiplicity caps bound the tree, so only the budgets can stop
-    a search short.
+    minima, or to 0 when exp(G) divides every member of L (translation),
+    which keeps the value and the witness.  ``symmetry_reduction`` replaces
+    the orbit minima by the flag trick on homocyclic groups of prime
+    exponent (same value, possibly another witness; translation still
+    applies) and changes nothing on other groups.  A positive
+    ``parallel_depth`` splits the tree into subtasks at that depth;
+    ``workers`` > 1 runs them in a process pool of at most that many
+    processes (and no more than the subtasks or the usable CPUs) and, with
+    ``parallel_depth`` 0, splits at depth 2.  Searches have no depth cap:
+    the multiplicity caps bound the tree, so only the budgets can stop a
+    search short.
     """
 
     node_budget: int = _DEFAULT_NODE_BUDGET
@@ -135,8 +148,10 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchStats:
     """Nodes visited, candidates banned, wall seconds, and the symmetry the
-    search ran: "flag", "roots" (orbit-minimum first terms), or "none" for a
-    result certified infinite without a search."""
+    search ran: "roots" (orbit-minimum first terms), "translation" (the
+    first term is 0, when exp(G) divides every member of L), "flag" or
+    "flag+translation" with the flag trick, or "none" for a result
+    certified infinite without a search."""
 
     nodes: int
     pruned: int
@@ -270,8 +285,10 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
     included; a search of N nodes fits in a budget of N, and one that needs
     more, or passes the deadline, stops with ``stopped`` set.  ``symmetry``
     is None, "flag" (the flag trick: a node's children depend on its last
-    term alone) or "roots" (the root's children are orbit minima; only
-    without a prefix).  Pool workers run it too, so its arguments pickle.
+    term alone), "roots" (the root's children are orbit minima),
+    "translation" (the root's only child is 0) or "flag+translation"; the
+    root masks apply only without a prefix.  Pool workers run it too, so
+    its arguments pickle.
 
     Without ``collect``, and off the self-closed layout, a node's children
     are dropped when its length plus the multiplicity caps of its admissible
@@ -319,13 +336,20 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
     for gi in prefix:
         y |= (_translate(y, move_by(gi)) << step) & full
 
-    roots = orbit_minima(G) if symmetry == "roots" and not prefix else row
+    # The root's children: 0 alone under translation, the orbit minima
+    # under "roots", else every element.  A subtask's root is a prefix.
+    if prefix or symmetry in (None, "flag"):
+        roots = row
+    elif symmetry == "roots":
+        roots = orbit_minima(G)
+    else:  # "translation" or "flag+translation"
+        roots = 1
     # memo[t]: state -> longest extension below a node with last term t.
     memo = [{} for _ in range(m)] if closed and not collect else None
     stored = 0
     # flag[t]: the indices <= q(t), the least power of p above t; one int per q.
     flag = None
-    if symmetry == "flag":
+    if symmetry in ("flag", "flag+translation"):
         p, flag = G.exponent, [3]
         for j in range(G.rank):
             flag += [(2 << p ** (j + 1)) - 1] * (p ** (j + 1) - p ** j)
@@ -385,7 +409,7 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
                     avail = 0
             if flag is not None:
                 avail &= flag[start]
-            elif not frames:  # the root
+            if not frames:  # the root
                 avail &= roots
             if avail:
                 if memo is None:
@@ -442,14 +466,16 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
     return _Outcome(best, best_stack, nodes, pruned, stopped, found)
 
 
-def _symmetry_applicable(G: GroupSpec, cfg: SearchConfig) -> str:
+def _symmetry_applicable(G: GroupSpec, L: LengthSet, cfg: SearchConfig) -> str:
     # Flag forcing relies on the stabilizer acting transitively outside the
     # span, which holds when the coordinate ring is a field: prime exponent.
-    # Every other search gets orbit-minimum first terms, which keep the
-    # witness.
-    if cfg.symmetry_reduction and G.is_homocyclic() and is_prime(G.exponent):
-        return "flag"
-    return "roots"
+    # When exp(G) divides every member of L, translation roots the search
+    # at 0, with or without the flag; otherwise every search gets
+    # orbit-minimum first terms.  Both keep the witness.
+    flag = cfg.symmetry_reduction and G.is_homocyclic() and is_prime(G.exponent)
+    if L.kind == "explicit" and all(l % G.exponent == 0 for l in L.members):
+        return "flag+translation" if flag else "translation"
+    return "flag" if flag else "roots"
 
 
 def _deadline(cfg: SearchConfig) -> float | None:
@@ -524,7 +550,7 @@ def s_L(G: GroupSpec, L: LengthSet, cfg: SearchConfig | None = None) -> SearchRe
         return SearchResult(G, L, None, True, True, None, None,
                             SearchStats(0, 0, time.monotonic() - t0, "none"))
     limit = _search_limit(G, L)
-    symmetry = _symmetry_applicable(G, cfg)
+    symmetry = _symmetry_applicable(G, L, cfg)
 
     # Several workers need subtasks to share out: split at depth 2 unless
     # the config names a depth.

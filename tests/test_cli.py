@@ -71,6 +71,9 @@ class TestInvariant:
     @pytest.mark.parametrize("args,symmetry", [
         (("C3^3", "--leq", "4"), "roots"),
         (("C3^3", "--leq", "4", "--symmetry"), "flag"),
+        # exp(G) divides every member of L: the search is rooted at 0.
+        (("C3^2", "--egz"), "translation"),
+        (("C3^2", "--L", "3,6", "--symmetry"), "flag+translation"),
         # Certified infinite: no multiple of exp = 6 in L, so no search.
         (("C6", "--exactly", "4"), "none"),
     ], ids=str)
@@ -328,6 +331,13 @@ class TestConjectures:
         assert proc.returncode == 2
         payload = json.loads(proc.stdout)
         assert any(row["is_lower_bound"] for row in payload["rows"])
+
+    def test_unknown_k_g_text(self):
+        # With k_G unknown the conjecture check is unknown too, not "None".
+        proc = run_cli("conjectures", "C2^2xC4", "--source", "computed", "--budget-nodes", "50",
+                       "--format", "text")
+        assert proc.returncode == 2
+        assert "k_G = unknown (conjectured (D+1)/2 = 3.5): unknown\n" in proc.stdout
 
 
 class TestSweepCommand:

@@ -241,7 +241,8 @@ class TestStateLayout:
     layout.  Values and witnesses were recorded with the per-element
     length-mask kernel it replaced; the counts off the self-closed row are
     those of the multiplicity-cap bound, and on it those of the
-    transposition table, both with orbit-minimum first terms."""
+    transposition table, both with orbit-minimum first terms, or with 0
+    alone when exp(G) divides every member of L."""
 
     @pytest.mark.parametrize(
         "run,expected",
@@ -255,11 +256,11 @@ class TestStateLayout:
             # order 3, two copies each) collapses to the self-closed row.
             (lambda: s_leq(C32, 16), (5, "0,1^2; 1,0^2", 54, 118)),
             # Singleton and explicit sets: rows of exactly l terms.
-            (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 352, 547)),
-            (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 496, 858)),
+            (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 220, 346)),
+            (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 296, 525)),
             # A singleton above the exponent, searched to the limit:
             # s_{kn}(C_n^2) = kn + 2n - 2.
-            (lambda: s_L(C32, LengthSet.exactly(6)), (10, "0,0^5; 0,1^2; 1,0^2", 6547, 8955)),
+            (lambda: s_L(C32, LengthSet.exactly(6)), (10, "0,0^5; 0,1^2; 1,0^2", 4063, 5785)),
         ],
     )
     def test_pinned_counts(self, run, expected):
@@ -403,13 +404,14 @@ def root_restricted_cases(max_order):
     return cases
 
 
-def unrestricted(G, L, cfg):
-    """The maximization over every first term, split as ``cfg`` asks: the
-    reference for the orbit-minimum first terms every search uses."""
+def unrestricted(G, L, cfg, symmetry=None):
+    """The maximization split as ``cfg`` asks, with the root's children
+    restricted by ``symmetry`` alone; with None, over every first term: the
+    reference for the first-term restrictions every search uses."""
     limit = _search_limit(G, L)
     if cfg.parallel_depth:
-        return _run_partitioned(G, L, cfg, cfg.parallel_depth, limit, None)
-    return _dfs(G, L, cfg.node_budget, None, None, (), limit)
+        return _run_partitioned(G, L, cfg, cfg.parallel_depth, limit, symmetry)
+    return _dfs(G, L, cfg.node_budget, None, symmetry, (), limit)
 
 
 def assert_same_as_unrestricted(G, result, reference):
@@ -417,21 +419,24 @@ def assert_same_as_unrestricted(G, result, reference):
     assert (result.value, result.witness, result.complete, result.best_length) == (
         reference.best + 1 if complete else None,
         _sequence_from_indices(G, reference.best_stack), complete, reference.best)
-    assert result.stats.symmetry == "roots"
     assert result.stats.nodes <= reference.nodes
 
 
 class TestRootRestriction:
     """Every search without the flag trick restricts the first term to
-    Aut(G)-orbit minima, and keeps the value, witness, completeness and
-    best length of the search over every first term, in no more nodes."""
+    Aut(G)-orbit minima, or to 0 when exp(G) divides every member of L, and
+    keeps the value, witness, completeness and best length of the search
+    over every first term, in no more nodes."""
 
     @pytest.mark.parametrize("factors,L", root_restricted_cases(16), ids=str)
     def test_same_answer_as_plain_search(self, factors, L):
         G = make_group(factors)
         reference = unrestricted(G, L, SearchConfig())
         assert not reference.stopped
-        assert_same_as_unrestricted(G, s_L(G, L), reference)
+        result = s_L(G, L)
+        assert_same_as_unrestricted(G, result, reference)
+        # The only explicit L here is {exp}: rooted at 0.
+        assert result.stats.symmetry == ("translation" if L.kind == "explicit" else "roots")
 
     @pytest.mark.parametrize("factors", factor_chains(24), ids=str)
     def test_grid_matches_unrestricted(self, factors):
@@ -447,7 +452,10 @@ class TestRootRestriction:
                 cfg = SearchConfig(node_budget=20_000, parallel_depth=depth)
                 reference = unrestricted(G, L, cfg)
                 if not reference.stopped:
-                    assert_same_as_unrestricted(G, s_L(G, L, cfg), reference)
+                    result = s_L(G, L, cfg)
+                    assert_same_as_unrestricted(G, result, reference)
+                    assert result.stats.symmetry == (
+                        "translation" if L.kind == "explicit" else "roots")
 
     def test_fewer_nodes(self):
         # C4^2 has three orbits: 0, the elements of order 4, those of order 2.
@@ -465,6 +473,91 @@ class TestRootRestriction:
             split = s_L(G, L, SearchConfig(parallel_depth=2, workers=workers))
             assert (split.value, split.witness, split.complete) == (
                 serial.value, serial.witness, serial.complete)
+
+
+def multiple_of_exp_lengths(n):
+    """L whose members are all multiples of exp(G) = n."""
+    return (LengthSet.exactly(n), LengthSet.exactly(2 * n), LengthSet.of([n, 2 * n]),
+            LengthSet.exactly(3 * n))
+
+
+class TestTranslation:
+    """When exp(G) divides every member of L, S - g is L-free whenever S
+    is.  Translating a longest L-free sequence by minus its first term puts
+    0, index 0, first, so the lexicographically least one starts with 0; the
+    flag trick's images come from linear maps, which fix 0, so the least
+    one of the flag tree does too.  Every such search roots at 0 and keeps
+    the value, witness, completeness and best length of the search with
+    orbit-minimum first terms (or the flag mask alone), in no more nodes."""
+
+    @pytest.mark.parametrize("factors", factor_chains(24), ids=str)
+    def test_grid_matches_roots(self, factors):
+        # Serially and split at depth 2, within a budget.  A serial search
+        # rooted at 0 is the reference's first subtree, so when the budget
+        # cuts the reference, the search rooted at 0 was cut at the same
+        # node or had finished with the reference's best.  Split, its
+        # subtasks are the reference's first ones with more budget left.
+        G = make_group(factors)
+        flag = G.is_homocyclic() and is_prime(G.exponent)
+        for L in multiple_of_exp_lengths(G.exponent):
+            # symmetry_reduction changes nothing off the flag trick's groups.
+            for symmetry in (False, True) if flag else (False,):
+                for depth in (0, 2):
+                    cfg = SearchConfig(node_budget=20_000, symmetry_reduction=symmetry,
+                                       parallel_depth=depth)
+                    reference = unrestricted(G, L, cfg, "flag" if symmetry else "roots")
+                    result = s_L(G, L, cfg)
+                    assert result.stats.symmetry == (
+                        "flag+translation" if symmetry else "translation")
+                    if not reference.stopped:
+                        assert_same_as_unrestricted(G, result, reference)
+                    elif depth == 0:
+                        assert (result.witness, result.best_length) == (
+                            _sequence_from_indices(G, reference.best_stack), reference.best)
+                        assert result.stats.nodes <= reference.nodes
+                    else:
+                        assert result.best_length >= reference.best
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("L", multiple_of_exp_lengths(2), ids=LengthSet.label)
+    def test_pool_matches_roots(self, L, symmetry):
+        G = make_group([2, 2, 2])
+        cfg = SearchConfig(node_budget=20_000, symmetry_reduction=symmetry, parallel_depth=2)
+        reference = unrestricted(G, L, cfg, "flag" if symmetry else "roots")
+        assert not reference.stopped
+        pooled = s_L(G, L, dataclasses.replace(cfg, workers=2))
+        assert_same_as_unrestricted(G, pooled, reference)
+        assert pooled.stats.nodes == s_L(G, L, cfg).stats.nodes
+
+    @pytest.mark.parametrize("factors,symmetry,reference_nodes,nodes", [
+        ([3, 3, 3], True, 54_637, 14_449),
+        ([2, 2, 4], False, 48_903, 19_116),
+        ([4, 4], False, 40_970, 17_838),
+    ], ids=str)
+    def test_pinned_counts(self, factors, symmetry, reference_nodes, nodes):
+        # s_egz, against the flag mask alone or the orbit-minimum roots.
+        G = make_group(factors)
+        L = LengthSet.exactly(G.exponent)
+        reference = unrestricted(G, L, SearchConfig(), "flag" if symmetry else "roots")
+        result = s_L(G, L, SearchConfig(symmetry_reduction=symmetry))
+        assert (reference.nodes, result.stats.nodes) == (reference_nodes, nodes)
+        assert result.witness == _sequence_from_indices(G, reference.best_stack)
+
+    @pytest.mark.parametrize("L,length,counts", [
+        (LengthSet.exactly(3), 4, (306, 12)),
+        (LengthSet.exactly(3), 8, (54, 3)),
+        (LengthSet.of([3, 6]), 6, (288, 9)),
+    ], ids=str)
+    def test_enumeration_keeps_its_rule(self, L, length, counts):
+        # Translation does not preserve orbit representatives, so
+        # enumerate_extremal lists every sequence, or every orbit-least one,
+        # whatever its first term: at length 8 two of the three
+        # representatives for {3} do not contain 0.
+        full = enumerate_extremal(C32, L, length)
+        reduced = enumerate_extremal(C32, L, length, up_to_automorphism=True)
+        assert (len(full.sequences), len(reduced.sequences)) == counts
+        assert reduced.sequences == tuple(S for S in full.sequences if orbit_canonical(S) == S)
+        assert not all(S.terms[0][0].is_zero() for S in full.sequences)
 
 
 class TestFlagTrick:
@@ -577,8 +670,8 @@ class TestNoHorizon:
     @pytest.mark.parametrize("r,L,symmetry,nodes", [
         (5, LengthSet.up_to(2), True, 172),
         (5, LengthSet.up_to(2), False, 467),
-        (5, LengthSet.exactly(2), True, 174),
-        (5, LengthSet.exactly(2), False, 499),
+        (5, LengthSet.exactly(2), True, 173),
+        (5, LengthSet.exactly(2), False, 498),
         (6, LengthSet.up_to(2), True, 684),
         (6, LengthSet.up_to(2), False, 1_955),
         (6, LengthSet.up_to(3), True, 4_720),
