@@ -5,9 +5,9 @@ A group is represented by its invariant factors (n_1 | n_2 | ... | n_r, all
 prime-power decomposition.  Elements are immutable coordinate tuples with
 componentwise arithmetic.  The module also provides the structural constants
 used throughout the package (exponent, order, the combinatorial lower bound
-``d_star``), the automorphisms of homocyclic groups C_n^r, generated
-directly as the invertible matrices over Z_n, and the Aut(G)-orbit minima of
-any G, read from height (Ulm) sequences.
+``d_star``), the automorphisms of homocyclic groups C_n^r, listed as the
+invertible matrices over Z_n that are their only form in the package, and
+the Aut(G)-orbit minima of any G, read from height (Ulm) sequences.
 """
 
 from __future__ import annotations
@@ -263,65 +263,19 @@ def enumerate_elements(G: GroupSpec):
         yield GroupElement(G, coords)
 
 
-def _invertible_mod(matrix, p: int) -> bool:
-    """Whether a square integer matrix has full rank mod the prime p
-    (Gaussian elimination over F_p)."""
-    rows = [[c % p for c in row] for row in matrix]
-    for col in range(len(rows)):
-        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = pow(rows[col][col], -1, p)
-        for i in range(col + 1, len(rows)):
-            f = rows[i][col] * inv % p
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[col])]
-    return True
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """An automorphism of a homocyclic group C_n^r, given as an invertible
-    r x r matrix over Z_n acting by phi(a)_i = sum_j M[i][j] a_j."""
-
-    group: GroupSpec
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.group.is_homocyclic():
-            raise UnsupportedGroupError("automorphisms implemented for homocyclic groups only")
-        n = self.group.exponent
-        r = self.group.rank
-        if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
-            raise InvalidInputError("matrix shape does not match group rank")
-        # Invertible over Z_n iff invertible mod every prime divisor of n.
-        if not all(_invertible_mod(self.matrix, p) for p in factorize(n)):
-            raise InvalidInputError("matrix is not invertible mod n")
-
-    def apply(self, a: GroupElement) -> GroupElement:
-        if a.group != self.group:
-            raise GroupMismatchError(f"{a.group} vs {self.group}")
-        n = self.group.exponent
-        return GroupElement(
-            self.group,
-            tuple(sum(m * c for m, c in zip(row, a.coords)) % n for row in self.matrix),
-        )
-
-    def __call__(self, a: GroupElement) -> GroupElement:
-        return self.apply(a)
-
-
-def _invertible_matrices(G: GroupSpec):
-    """Iterator over the invertible r x r matrices over Z_n, for G = C_n^r,
-    as tuples of row tuples in row-major lexicographic order.
+def enumerate_automorphisms(G: GroupSpec):
+    """Every automorphism of a homocyclic group G = C_n^r, as its invertible
+    r x r matrix over Z_n: a tuple of row tuples, acting by
+    phi(a)_i = sum_j M[i][j] a_j.  Matrices come in row-major
+    lexicographic order over their entries; the identity is among them.
 
     A matrix is invertible over Z_n iff its rows are linearly independent
     mod every prime p | n.  Rows are chosen top to bottom in lexicographic
     order, each kept only if, for every p, it lies outside the F_p-span of
     the rows above it, so exactly the invertible matrices are visited.
-    Raises here, before iteration starts, for a group that is not
-    homocyclic or has more than ENUMERATION_CAP automorphisms.
+    Raises when called, before an iterator is returned, for a group that
+    is not homocyclic (UnsupportedGroupError) or has more than
+    ENUMERATION_CAP automorphisms (ResourceLimitError).
     """
     if not G.is_homocyclic():
         raise UnsupportedGroupError("automorphisms implemented for homocyclic groups only")
@@ -400,18 +354,6 @@ def orbit_minima(G: GroupSpec) -> int:
             seen.add(key)
             mask |= 1 << index
     return mask
-
-
-def enumerate_automorphisms(G: GroupSpec):
-    """All automorphisms of a homocyclic group C_n^r, one per invertible
-    matrix over Z_n, built row by row (no candidate is rejected).
-
-    Deterministic order (row-major lexicographic over entries); the identity
-    is always among the results.  Refused with ResourceLimitError, before
-    anything is yielded, when |GL_r(Z/n)| exceeds ENUMERATION_CAP.
-    """
-    for mat in _invertible_matrices(G):
-        yield Automorphism(G, mat)
 
 
 # --- group-spec grammar ----------------------------------------------------

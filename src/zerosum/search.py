@@ -100,7 +100,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .groups import GroupSpec, _invertible_matrices, group_table, is_prime, orbit_minima
+from .groups import GroupSpec, enumerate_automorphisms, group_table, is_prime, orbit_minima
 from .sequences import LengthSet, Sequence, orbit_canonical, sigma
 
 _DEFAULT_NODE_BUDGET = 10**8
@@ -621,7 +621,9 @@ def enumerate_extremal(G: GroupSpec, L: LengthSet, length: int,
     if length < 0:
         raise InvalidInputError("length must be >= 0")
     if up_to_automorphism:
-        _invertible_matrices(G)  # refuses an unsupported G before the search
+        # Refuses an unsupported G before the search.  next() runs the lister
+        # even when it is wrapped in a generator function.
+        next(enumerate_automorphisms(G))
     cfg = cfg or SearchConfig()
     outcome = _dfs(G, L, cfg.node_budget, _deadline(cfg), "roots" if up_to_automorphism else None,
                    (), length, collect=True)

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import GroupMismatchError, InvalidInputError, ResourceLimitError
-from .groups import (
-    Automorphism,
-    GroupElement,
-    GroupSpec,
-    _invertible_matrices,
-    group_table,
-)
+from .groups import GroupElement, GroupSpec, enumerate_automorphisms, group_table
 
 # Cap on |G| * (|S|+1) feasibility/counting table cells.
 TABLE_CELL_CAP = 2**26
@@ -315,12 +309,6 @@ def subsequence_count_table(S: Sequence, mod: int | None = None, max_len: int | 
     return [[x >> b & field for b in shifts] for x in packed]
 
 
-def apply_automorphism(phi: Automorphism, S: Sequence) -> Sequence:
-    if phi.group != S.group:
-        raise GroupMismatchError("automorphism of a different group")
-    return Sequence.from_pairs(S.group, ((phi(g), m) for g, m in S.terms))
-
-
 def _automorphism_images(S: Sequence):
     """For each automorphism phi of the homocyclic group of S, in
     ``enumerate_automorphisms`` order, the sorted list of the coordinate
@@ -330,7 +318,7 @@ def _automorphism_images(S: Sequence):
     dot products of every possible row with every term are computed once
     and each image is assembled from r of them.
     """
-    matrices = _invertible_matrices(S.group)  # refuses an unsupported G first
+    matrices = enumerate_automorphisms(S.group)  # refuses an unsupported G first
     n, r = S.group.exponent, S.group.rank
     terms = [g.coords for g in S.expand()]
     dots = {

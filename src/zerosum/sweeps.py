@@ -166,8 +166,15 @@ def _check_i0_tuple(rec, label, dec: PDecomposition) -> None:
         rec.violation(f"{label}: compute_i0 gave {windowed}, window truth is {expected}")
 
 
+def _require_cases(name: str, value: int) -> None:
+    """A sweep of no cases would report that all of them passed."""
+    if value < 1:
+        raise InvalidInputError(f"need {name} >= 1, got {value}")
+
+
 def sweep_row_transform(count: int = 200, seed: int = 0) -> SweepOutcome:
     """Seeded random tuples through the exact row-transform identity."""
+    _require_cases("count", count)
     rec = _Recorder("row-transform")
     rng = random.Random(seed)
     for _ in range(count):
@@ -191,6 +198,7 @@ def sweep_congruence(samples: int = 500, seed: int = 0, groups=None) -> SweepOut
     """Random sequences of length >= D over small p-groups: for every group
     element the even- and odd-length subsequence counts summing to it must
     agree mod p."""
+    _require_cases("samples", samples)
     rec = _Recorder("count-congruence")
     rng = random.Random(seed)
     groups = _default_congruence_groups() if groups is None else tuple(groups)
@@ -217,6 +225,7 @@ def sweep_zerosub_soundness(samples: int = 500, seed: int = 0) -> SweepOutcome:
     """Random zero-sum sequences over C_3^2 and C_2^3: whenever the
     criterion claims a zero-sum subsequence of length <= k-1 exists, a
     direct minimum-length computation must confirm it."""
+    _require_cases("samples", samples)
     rec = _Recorder("zerosub-soundness")
     rng = random.Random(seed)
     plans = (

@@ -263,8 +263,10 @@ def lemma_3_6_property(
     not of the form C_2 + C_2m.
 
     ``trials`` None enumerates every (T, g) pair; otherwise that many pairs
-    are sampled with the given seed.
+    (at least one) are sampled with the given seed.
     """
+    if trials is not None and trials < 1:
+        raise InvalidInputError(f"need trials >= 1, got {trials}")
     if G.rank < 2:
         raise InvalidInputError("need rank >= 2")
     if G.rank == 2 and G.factors[0] == 2:

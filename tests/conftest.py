@@ -47,6 +47,45 @@ def factor_chains(max_order):
         yield from extend((n,), n)
 
 
+def _primes_dividing(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@functools.lru_cache(maxsize=None)
+def brute_invertible_matrices(n, r):
+    """Every r x r matrix over Z_n, kept iff its rows span F_p^r for each
+    prime p | n (the span is listed by brute force), in row-major order."""
+    out = []
+    for flat in product(range(n), repeat=r * r):
+        mat = tuple(flat[i * r : (i + 1) * r] for i in range(r))
+        if all(
+            len({
+                tuple(sum(c * row[j] for c, row in zip(coeffs, mat)) % p for j in range(r))
+                for coeffs in product(range(p), repeat=r)
+            }) == p**r
+            for p in _primes_dividing(n)
+        ):
+            out.append(mat)
+    return tuple(out)
+
+
+def apply_matrix(M, n, coords):
+    """The image of a coordinate tuple under the matrix M over Z_n:
+    coordinate i is sum_j M[i][j] * coords[j] mod n."""
+    return tuple(sum(m * c for m, c in zip(row, coords)) % n for row in M)
+
+
+def matrix_image(M, S):
+    """The image of the sequence S under the automorphism with matrix M,
+    term by term through ``apply_matrix``."""
+    from zerosum import Sequence
+
+    G = S.group
+    return Sequence.from_elements(
+        G, [G.element(apply_matrix(M, G.exponent, g.coords)) for g in S.expand()]
+    )
+
+
 def tuple_sum(coords_list, factors):
     total = [0] * len(factors)
     for coords in coords_list:

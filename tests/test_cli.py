@@ -352,6 +352,14 @@ class TestSweepCommand:
         assert payload["seed"] == 7
         assert all(entry["passed"] for entry in payload["suites"])
 
+    @pytest.mark.parametrize("flag", ["--row-count", "--congruence-samples",
+                                      "--soundness-samples"])
+    def test_no_cases_exit_1(self, flag):
+        proc = run_cli("sweep", "--p", "3", "--max-T", "20", flag, "0", "--format", "text")
+        assert proc.returncode == 1
+        assert "need" in proc.stderr and ">= 1" in proc.stderr
+        assert "all passed" not in proc.stdout
+
     def test_text_format(self):
         proc = run_cli("sweep", "--p", "3", "--max-T", "40", "--row-count", "5",
                        "--congruence-samples", "5", "--soundness-samples", "5",

@@ -842,6 +842,17 @@ class TestEnumeration:
         with pytest.raises(UnsupportedGroupError):
             enumerate_extremal(G, LengthSet.up_to(2), 2, up_to_automorphism=True)
 
+        # A lister wrapped in a generator function runs only when advanced:
+        # the refusal must still come before the search.
+        lister = search.enumerate_automorphisms
+
+        def wrapped(*args, **kwargs):
+            yield from lister(*args, **kwargs)
+
+        monkeypatch.setattr("zerosum.search.enumerate_automorphisms", wrapped)
+        with pytest.raises(UnsupportedGroupError):
+            enumerate_extremal(G, LengthSet.up_to(2), 2, up_to_automorphism=True)
+
     def test_minimal_zero_sum_enumeration(self):
         ex = enumerate_minimal_zero_sum(C32, 5)
         assert ex.complete and len(ex.sequences) > 0

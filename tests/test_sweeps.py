@@ -6,6 +6,7 @@ import pytest
 
 import zerosum.sweeps as sweeps_mod
 from zerosum import (
+    InvalidInputError,
     make_group,
     run_all_sweeps,
     sweep_congruence,
@@ -45,6 +46,21 @@ class TestIndividualSweeps:
         outcome = sweep_zerosub_soundness(samples=40, seed=3)
         assert outcome.cases == 40
         assert outcome.passed
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize(
+        "sweep,keyword",
+        [
+            (sweep_row_transform, "count"),
+            (sweep_congruence, "samples"),
+            (sweep_zerosub_soundness, "samples"),
+        ],
+        ids=["row-transform", "count-congruence", "zerosub-soundness"],
+    )
+    def test_no_cases_refused(self, sweep, keyword, count):
+        # A sweep of no cases would report that all of them passed.
+        with pytest.raises(InvalidInputError, match=f"need {keyword} >= 1"):
+            sweep(**{keyword: count})
 
 
 class TestRunAll:

@@ -302,6 +302,12 @@ class TestLemma36Property:
         assert report.cases == 500
         assert report.passed
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_refused(self, trials):
+        # No sampled pair would pass with cases=0.
+        with pytest.raises(InvalidInputError, match="trials >= 1"):
+            lemma_3_6_property(C32, trials=trials)
+
     def test_excluded_groups(self):
         with pytest.raises(InvalidInputError):
             lemma_3_6_property(make_group([7]))
