@@ -56,14 +56,15 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ap.add_argument(
         "--no-symmetry",
         action="store_true",
-        help="disable the flag trick in computed rows (first terms restricted "
-        "to orbit minima, or to 0 when exp(G) divides every member of L, stay on)",
+        help="disable the flag trick in computed rows (orderly generation, "
+        "orbit-minimum first terms, and 0 first when exp(G) divides every member "
+        "of L stay on)",
     )
     ap.add_argument(
         "--time-budget",
         type=float,
         default=60.0,
-        help="wall-clock budget per group for computed rows, in seconds",
+        help="wall-clock budget per row: each computed row's search gets its own, in seconds",
     )
     ap.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
     return ap.parse_args(argv)

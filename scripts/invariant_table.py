@@ -39,8 +39,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ap.add_argument(
         "--no-symmetry",
         action="store_true",
-        help="disable the flag trick (slower, same values; orbit-minimum "
-        "first terms stay on)",
+        help="disable the flag trick (slower, same values; orderly generation "
+        "and orbit-minimum first terms stay on)",
     )
     ap.add_argument(
         "--node-budget",

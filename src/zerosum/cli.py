@@ -94,9 +94,10 @@ def _add_budget_flags(sub) -> None:
     sub.add_argument("--parallel-depth", type=int, default=0, metavar="P")
     sub.add_argument("--symmetry", action="store_true",
                      help="use the flag trick on prime-exponent homocyclic groups (same "
-                          "value, possibly another witness); first terms restricted to "
-                          "orbit minima, or to 0 when exp(G) divides every member of L, "
-                          "keep the witness and are always on")
+                          "value, possibly another witness); orderly generation, first "
+                          "terms restricted to orbit minima, and 0 as the first term "
+                          "when exp(G) divides every member of L keep the witness and "
+                          "are always on")
 
 
 def _add_output_flags(sub, formats=("json", "text")) -> None:

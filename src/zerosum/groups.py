@@ -6,8 +6,10 @@ prime-power decomposition.  Elements are immutable coordinate tuples with
 componentwise arithmetic.  The module also provides the structural constants
 used throughout the package (exponent, order, the combinatorial lower bound
 ``d_star``), the automorphisms of homocyclic groups C_n^r, listed as the
-invertible matrices over Z_n that are their only form in the package, and
-the Aut(G)-orbit minima of any G, read from height (Ulm) sequences.
+invertible matrices over Z_n that are their only form in the package (the
+search reads them once more as a cached table of element-index
+permutations on groups where that table is small), and the Aut(G)-orbit
+minima of any G, read from height (Ulm) sequences.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .errors import (
 # Groups larger than this are refused by the enumerators so that downstream
 # tables stay bounded.
 ENUMERATION_CAP = 10**6
+# The most entries, |Aut(G)| * |G|, an automorphism permutation table holds;
+# each entry is one byte, so the table also needs |G| <= 256.
+PERMUTATION_TABLE_CAP = 2**17
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -281,11 +286,7 @@ def enumerate_automorphisms(G: GroupSpec):
         raise UnsupportedGroupError("automorphisms implemented for homocyclic groups only")
     n, r = G.exponent, G.rank
     primes = tuple(factorize(n))
-    # |GL_r(Z/n)| = n^(r^2) * prod_{p | n} prod_{i=1..r} (1 - p^(-i)).
-    count = n ** (r * r)
-    for p in primes:
-        for i in range(1, r + 1):
-            count = count // p**i * (p**i - 1)
+    count = _automorphism_count(G)
     if count > ENUMERATION_CAP:
         raise ResourceLimitError(
             f"|GL_{r}(Z/{n})| = {count} automorphisms exceed the enumeration cap"
@@ -309,6 +310,48 @@ def enumerate_automorphisms(G: GroupSpec):
             yield from extend(prefix + (row,), grown)
 
     return extend((), tuple({(0,) * r} for _ in primes))
+
+
+def _automorphism_count(G: GroupSpec) -> int:
+    """|Aut(C_n^r)| = |GL_r(Z/n)| = n^(r^2) * prod_{p | n} prod_{i=1..r} (1 - p^(-i))."""
+    n, r = G.exponent, G.rank
+    count = n ** (r * r)
+    for p in factorize(n):
+        for i in range(1, r + 1):
+            count = count // p**i * (p**i - 1)
+    return count
+
+
+@lru_cache(maxsize=None)
+def automorphism_permutations(G: GroupSpec) -> tuple[tuple[bytes, bytes], ...] | None:
+    """Every automorphism of a homocyclic G, in ``enumerate_automorphisms``
+    order, as a pair (phi, phi^-1) of element-index permutations in
+    group_table order, one ``bytes`` each; None when G is not homocyclic,
+    has more than 256 elements, or the table would hold more than
+    PERMUTATION_TABLE_CAP entries (|Aut(G)| * |G|).
+
+    phi(a) = sum_j a_j phi(e_j), and table order is coordinate order with
+    the first coordinate most significant, so the images are built from the
+    last coordinate up: each step adds k phi(e_j), k = 0..n-1, to the
+    images so far through the table's addition rows.
+    """
+    if (not G.is_homocyclic() or G.order > 256
+            or _automorphism_count(G) * G.order > PERMUTATION_TABLE_CAP):
+        return None
+    n, r, m = G.exponent, G.rank, G.order
+    table = group_table(G)
+    maps = []
+    for M in enumerate_automorphisms(G):
+        images = [0]
+        for j in reversed(range(r)):
+            rows = [table.add_row(table.index[tuple(k * row[j] % n for row in M)])
+                    for k in range(n)]
+            images = [add[x] for add in rows for x in images]
+        inv = bytearray(m)
+        for i, j in enumerate(images):
+            inv[j] = i
+        maps.append((bytes(images), bytes(inv)))
+    return tuple(maps)
 
 
 @lru_cache(maxsize=None)

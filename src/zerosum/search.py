@@ -50,7 +50,22 @@ so its first term is such an element: value and witness equal those of the
 unrestricted search.  This is the first level of orderly generation (R. C.
 Read, Ann. Discrete Math. 2 (1978); B. D. McKay, J. Algorithms 26 (1998)).
 
-When exp(G) divides every member of L, the root's only child is 0 instead.
+On groups whose automorphisms fit a permutation table
+(``groups.automorphism_permutations``: homocyclic, |G| <= 256 and
+|Aut(G)| * |G| <= 2^17, so C_n^2 for n <= 8, C_2^3, and C_n for n <= 256),
+the search is orderly to depth 4: a node of 1 to 3 terms keeps a child t
+only if its sorted prefix Q.t is least among its sorted images under
+Aut(G).  Every prefix P of the least longest sequence W is least in its
+orbit: were sorted phi(P) below P, adding the rest of W could only lower
+the order statistics of the image, so sorted phi(W) would be below W.
+Value and witness stay those of the unrestricted search.  The children kept
+below Q depend on (G, Q) alone and are computed once per group and prefix
+(``_orderly_children``), in one pass over the maps, rather than by a pass
+over Aut(G) per node.  Other groups keep the orbit-minimum roots: the same
+rule cut at depth 1.
+
+When exp(G) divides every member of L, the root's only child is 0 instead
+(and under orderly generation the children of (0,) are then masked).
 Then l*g = 0 for every l in L, so S - g is L-free whenever S is: the
 translation invariance behind Erdos-Ginzburg-Ziv (1961) and the
 s_{k exp(G)} literature (Gao-Geroldinger, Expo. Math. 24 (2006)).
@@ -86,7 +101,10 @@ limit is cut, so every entry is exact.  The table holds at most
 its memory and keeps node counts deterministic.  A skipping node counts as
 one visited node and its subtree counts nothing.  The table is local to one
 call, so partitioned subtasks keep node counts that do not depend on the
-worker count.
+worker count.  Under orderly generation only nodes of at least 4 terms are
+stored: their subtrees have no orderly cuts, so each entry is the exact
+extension of the uncut subtree.  Lookups happen at every depth, since the
+cut subtree of a shallower node with the same key can only be shallower.
 """
 
 from __future__ import annotations
@@ -96,16 +114,27 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .groups import GroupSpec, enumerate_automorphisms, group_table, is_prime, orbit_minima
+from .groups import (
+    GroupSpec,
+    automorphism_permutations,
+    enumerate_automorphisms,
+    group_table,
+    is_prime,
+    orbit_minima,
+)
 from .sequences import LengthSet, Sequence, orbit_canonical, sigma
 
 _DEFAULT_NODE_BUDGET = 10**8
 # Entries the self-closed transposition table holds before it is cleared.
 _TABLE_ENTRIES = 8192
+# Orderly generation checks every prefix of up to this many terms; the
+# transposition table stores only nodes this deep, whose subtrees it never cuts.
+_ORDERLY_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -116,8 +145,10 @@ class SearchConfig:
     machines; results are deterministic when the search finishes or stops on
     the node budget.  Every search restricts the first term to Aut(G)-orbit
     minima, or to 0 when exp(G) divides every member of L (translation),
-    which keeps the value and the witness.  ``symmetry_reduction`` replaces
-    the orbit minima by the flag trick on homocyclic groups of prime
+    and on groups with a small permutation table checks every prefix of up
+    to 4 terms for orbit-leastness (orderly generation); all keep the value
+    and the witness.  ``symmetry_reduction`` replaces the orbit minima and
+    orderly generation by the flag trick on homocyclic groups of prime
     exponent (same value, possibly another witness; translation still
     applies) and changes nothing on other groups.  A positive
     ``parallel_depth`` splits the tree into subtasks at that depth;
@@ -149,9 +180,10 @@ class SearchConfig:
 class SearchStats:
     """Nodes visited, candidates banned, wall seconds, and the symmetry the
     search ran: "roots" (orbit-minimum first terms), "translation" (the
-    first term is 0, when exp(G) divides every member of L), "flag" or
-    "flag+translation" with the flag trick, or "none" for a result
-    certified infinite without a search."""
+    first term is 0, when exp(G) divides every member of L), "orderly" or
+    "orderly+translation" (prefixes of up to 4 terms orbit-least, on groups
+    with a permutation table), "flag" or "flag+translation" with the flag
+    trick, or "none" for a result certified infinite without a search."""
 
     nodes: int
     pruned: int
@@ -259,6 +291,41 @@ def _translate(x: int, moves) -> int:
     return x
 
 
+@lru_cache(maxsize=None)
+def _orderly_children(G: GroupSpec, prefix: tuple[int, ...]) -> int:
+    """The t whose sorted prefix + (t,) is least among its images under
+    Aut(G), as an |G|-bit int, for an orbit-least sorted ``prefix`` Q on a
+    group with an automorphism permutation table; only t >= Q[-1] are
+    decided.
+
+    Per map phi, let A = sorted phi(Q) and i the first index where A != Q
+    (A[i] > Q[i], as Q is orbit-least).  With no such i, phi(Q.t) sorts
+    below Q.t iff phi(t) < t.  Otherwise it does when phi(t) < Q[i], does
+    not when phi(t) > Q[i], and t = phi^-1(Q[i]) is compared directly.
+    """
+    last, d = prefix[-1], len(prefix)
+    m = G.order
+    q = list(prefix)
+    cut = 0
+    for perm, inv in automorphism_permutations(G):
+        image = sorted([perm[x] for x in prefix])
+        i = 0
+        while i < d and image[i] == q[i]:
+            i += 1
+        if i == d:
+            for t in range(last, m):
+                if perm[t] < t:
+                    cut |= 1 << t
+            continue
+        v = q[i]
+        for u in range(v):
+            cut |= 1 << inv[u]
+        t = inv[v]
+        if t >= last and sorted(image + [v]) < q + [t]:
+            cut |= 1 << t
+    return ((1 << m) - 1) & ~cut
+
+
 class _Outcome(NamedTuple):
     """What one DFS call found: the best length (-1 if no node was visited)
     and its index stack, the nodes visited and candidates banned, whether a
@@ -286,18 +353,21 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
     more, or passes the deadline, stops with ``stopped`` set.  ``symmetry``
     is None, "flag" (the flag trick: a node's children depend on its last
     term alone), "roots" (the root's children are orbit minima),
-    "translation" (the root's only child is 0) or "flag+translation"; the
-    root masks apply only without a prefix.  Pool workers run it too, so
-    its arguments pickle.
+    "translation" (the root's only child is 0), "orderly" (orbit minima,
+    then the children of every node of 1 to 3 terms are the orderly ones),
+    "orderly+translation" or "flag+translation"; the root masks apply only
+    without a prefix, the orderly masks below a prefix too.  Pool workers
+    run it too, so its arguments pickle.
 
     Without ``collect``, and off the self-closed layout, a node's children
     are dropped when its length plus the multiplicity caps of its admissible
     candidates (see the module docstring) cannot exceed ``best``.  The sum
-    is taken before the flag and root masks, since deeper nodes unlock later
-    flag members.  A dropped subtree could not have changed ``best`` or its
-    witness.  A search below a prefix (a partitioned subtask) starts from
-    its own ``best``, never a sibling's, so node counts do not depend on
-    scheduling or worker count.
+    is taken before the flag, root and orderly masks, since deeper nodes
+    unlock later flag members and may hold elements an orderly mask cut.
+    A dropped subtree could not have changed ``best`` or its witness.  A
+    search below a prefix (a partitioned subtask) starts from its own
+    ``best``, never a sibling's, so node counts do not depend on scheduling
+    or worker count.
 
     Without ``collect``, on the self-closed layout, the transposition table
     of the module docstring replaces the bound.  Its key is (last term,
@@ -305,10 +375,11 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
     masks, since a leaf gains nothing.  Each open frame keeps the deepest
     length met below it: one more than its own at push, raised by table
     hits among its children and by its children's frames as they pop, so
-    leaves cost nothing.  A popped node stores that length less its own; a
-    budget or deadline stop leaves the loop before any pop, so every entry
-    is exact.  A hit was already counted as a visited node, so budgets keep
-    their meaning.
+    leaves cost nothing.  A popped node stores that length less its own
+    (under orderly generation only at depth 4 or more); a budget or
+    deadline stop leaves the loop before any pop, so every entry is exact.
+    A hit was already counted as a visited node, so budgets keep their
+    meaning.
     """
     table = group_table(G)
     m = len(table.elements)
@@ -336,20 +407,25 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
     for gi in prefix:
         y |= (_translate(y, move_by(gi)) << step) & full
 
+    modes = set(symmetry.split("+")) if symmetry else set()
     # The root's children: 0 alone under translation, the orbit minima
-    # under "roots", else every element.  A subtask's root is a prefix.
-    if prefix or symmetry in (None, "flag"):
+    # under "roots" or "orderly", else every element.  A subtask's root is
+    # a prefix.
+    if prefix or not modes & {"translation", "roots", "orderly"}:
         roots = row
-    elif symmetry == "roots":
-        roots = orbit_minima(G)
-    else:  # "translation" or "flag+translation"
+    elif "translation" in modes:
         roots = 1
+    else:
+        roots = orbit_minima(G)
+    # Nodes of depth 1 .. orderly_depth - 1 mask their children to orderly
+    # ones; the table stores only nodes at least orderly_depth deep.
+    orderly_depth = _ORDERLY_DEPTH if "orderly" in modes else 1
     # memo[t]: state -> longest extension below a node with last term t.
     memo = [{} for _ in range(m)] if closed and not collect else None
     stored = 0
     # flag[t]: the indices <= q(t), the least power of p above t; one int per q.
     flag = None
-    if symmetry in ("flag", "flag+translation"):
+    if "flag" in modes:
         p, flag = G.exponent, [3]
         for j in range(G.rank):
             flag += [(2 << p ** (j + 1)) - 1] * (p ** (j + 1) - p ** j)
@@ -411,6 +487,8 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
                 avail &= flag[start]
             if not frames:  # the root
                 avail &= roots
+            if 0 < depth < orderly_depth and avail:
+                avail &= _orderly_children(G, tuple(seq[:depth]))
             if avail:
                 if memo is None:
                     frames.append([y, avail])
@@ -434,13 +512,14 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
             if memo is not None and frames:
                 # The node seq[:d] is done; store its extension.
                 deepest = frame[2]
-                if stored == _TABLE_ENTRIES:
-                    for entries in memo:
-                        entries.clear()
-                    stored = 0
                 d = base + len(frames)
-                memo[seq[d - 1]][frame[0]] = deepest - d
-                stored += 1
+                if d >= orderly_depth:
+                    if stored == _TABLE_ENTRIES:
+                        for entries in memo:
+                            entries.clear()
+                        stored = 0
+                    memo[seq[d - 1]][frame[0]] = deepest - d
+                    stored += 1
                 parent = frames[-1]
                 if deepest > parent[2]:
                     parent[2] = deepest
@@ -469,13 +548,20 @@ def _dfs(G, L, node_budget, deadline, symmetry, prefix, cap, collect=False) -> _
 def _symmetry_applicable(G: GroupSpec, L: LengthSet, cfg: SearchConfig) -> str:
     # Flag forcing relies on the stabilizer acting transitively outside the
     # span, which holds when the coordinate ring is a field: prime exponent.
-    # When exp(G) divides every member of L, translation roots the search
-    # at 0, with or without the flag; otherwise every search gets
-    # orbit-minimum first terms.  Both keep the witness.
+    # Otherwise orderly generation runs where Aut(G) fits a permutation
+    # table, and orbit-minimum first terms elsewhere.  When exp(G) divides
+    # every member of L, translation roots the search at 0 under any of the
+    # three.  All but the flag keep the witness.
     flag = cfg.symmetry_reduction and G.is_homocyclic() and is_prime(G.exponent)
+    if flag:
+        rule = "flag"
+    elif automorphism_permutations(G) is not None:
+        rule = "orderly"
+    else:
+        rule = "roots"
     if L.kind == "explicit" and all(l % G.exponent == 0 for l in L.members):
-        return "flag+translation" if flag else "translation"
-    return "flag" if flag else "roots"
+        return "translation" if rule == "roots" else rule + "+translation"
+    return rule
 
 
 def _deadline(cfg: SearchConfig) -> float | None:

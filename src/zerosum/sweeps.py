@@ -222,9 +222,10 @@ def sweep_congruence(samples: int = 500, seed: int = 0, groups=None) -> SweepOut
 
 
 def sweep_zerosub_soundness(samples: int = 500, seed: int = 0) -> SweepOutcome:
-    """Random zero-sum sequences over C_3^2 and C_2^3: whenever the
-    criterion claims a zero-sum subsequence of length <= k-1 exists, a
-    direct minimum-length computation must confirm it."""
+    """``samples`` random zero-sum sequences over C_3^2 and C_2^3, split
+    evenly (C_3^2 takes an odd one): whenever the criterion claims a
+    zero-sum subsequence of length <= k-1 exists, a direct minimum-length
+    computation must confirm it."""
     _require_cases("samples", samples)
     rec = _Recorder("zerosub-soundness")
     rng = random.Random(seed)
@@ -232,10 +233,10 @@ def sweep_zerosub_soundness(samples: int = 500, seed: int = 0) -> SweepOutcome:
         (make_group([3, 3]), 3, 5, (4, 5)),
         (make_group([2, 2, 2]), 2, 4, (3, 4)),
     )
-    per_plan = max(1, samples // len(plans))
-    for G, p, D, ks in plans:
+    for i, (G, p, D, ks) in enumerate(plans):
         elements = [g for g in enumerate_elements(G)]
-        for _ in range(per_plan):
+        # The first samples % len(plans) plans take one case more.
+        for _ in range(samples // len(plans) + (i < samples % len(plans))):
             k = rng.choice(ks)
             length = rng.randint(2 * k, 2 * k + 4)
             body = [rng.choice(elements) for _ in range(length - 1)]

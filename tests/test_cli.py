@@ -71,8 +71,11 @@ class TestInvariant:
     @pytest.mark.parametrize("args,symmetry", [
         (("C3^3", "--leq", "4"), "roots"),
         (("C3^3", "--leq", "4", "--symmetry"), "flag"),
+        # C3^2 has a permutation table: orderly generation.
+        (("C3^2", "--davenport"), "orderly"),
         # exp(G) divides every member of L: the search is rooted at 0.
-        (("C3^2", "--egz"), "translation"),
+        (("C3^2", "--egz"), "orderly+translation"),
+        (("C2xC4", "--egz"), "translation"),
         (("C3^2", "--L", "3,6", "--symmetry"), "flag+translation"),
         # Certified infinite: no multiple of exp = 6 in L, so no search.
         (("C6", "--exactly", "4"), "none"),

@@ -19,7 +19,13 @@ from zerosum import (
     make_group,
     parse_group,
 )
-from zerosum.groups import factorize, group_table, is_prime, orbit_minima
+from zerosum.groups import (
+    automorphism_permutations,
+    factorize,
+    group_table,
+    is_prime,
+    orbit_minima,
+)
 
 from conftest import all_elements, apply_matrix, brute_invertible_matrices, factor_chains
 
@@ -235,6 +241,37 @@ class TestAutomorphisms:
             enumerate_automorphisms(make_group([5, 5, 5]))
         with pytest.raises(UnsupportedGroupError):
             enumerate_automorphisms(make_group([2, 4]))
+
+
+class TestPermutationTable:
+    @pytest.mark.parametrize(
+        "n,r", [(2, 2), (3, 2), (4, 2), (6, 2), (2, 3), (5, 2), (12, 1), (256, 1)]
+    )
+    def test_is_the_matrix_action(self, n, r):
+        # One (phi, phi^-1) pair of index permutations per matrix, in the
+        # lister's order; C256 fills the byte range.
+        G = make_group([n] * r)
+        table = group_table(G)
+        maps = automorphism_permutations(G)
+        assert len(maps) == gl_order(n, r)
+        for M, (perm, inv) in zip(brute_invertible_matrices(n, r), maps):
+            assert list(perm) == [table.index[apply_matrix(M, n, a)] for a in table.elements]
+            assert [inv[j] for j in perm] == list(range(G.order))
+
+    @pytest.mark.parametrize("factors,tabled", [
+        # |Aut(G)| * |G| against the cap of 2^17 = 131,072.
+        ([6, 6], True),  # 10,368
+        ([7, 7], True),  # 98,784
+        ([8, 8], True),  # 98,304
+        ([256], True),  # 32,768
+        ([257], False),  # 65,792, but more than 256 elements
+        ([3, 3, 3], False),  # 303,264
+        ([2, 2, 2, 2], False),  # 322,560
+        ([9, 9], False),  # 314,928
+        ([2, 4], False),  # not homocyclic
+    ], ids=str)
+    def test_only_small_homocyclic_groups(self, factors, tabled):
+        assert (automorphism_permutations(make_group(factors)) is not None) == tabled
 
 
 def brute_orbit_minima(factors):

@@ -1,6 +1,7 @@
 """Exhaustive-search invariants cross-validated against multiset brute force."""
 
 import dataclasses
+import itertools
 import math
 import os
 from concurrent.futures import Future
@@ -31,11 +32,12 @@ from zerosum import (
     sigma,
 )
 from zerosum import search
-from zerosum.groups import d_star, group_table, is_prime
+from zerosum.groups import automorphism_permutations, d_star, group_table, is_prime, orbit_minima
 from zerosum.search import (
     _dfs,
     _layout,
     _multiplicity_caps,
+    _orderly_children,
     _run_partitioned,
     _search_limit,
     _sequence_from_indices,
@@ -45,9 +47,11 @@ from zerosum.search import (
 
 from conftest import (
     all_elements,
+    apply_matrix,
     brute_davenport,
     brute_flag_count,
     brute_has_zero_sum,
+    brute_invertible_matrices,
     brute_min_zero_sum,
     brute_obeys_flag,
     brute_s_L,
@@ -174,9 +178,9 @@ class TestBudgets:
         [
             # D(C2) = 2: the root and the one element are the whole tree.
             ([2], LengthSet.all_positive(), 2, True, 1),
-            # s_<=3(C3^2) = 7 takes 50 nodes.
-            ([3, 3], LengthSet.up_to(3), 50, True, 6),
-            ([3, 3], LengthSet.up_to(3), 49, False, 6),
+            # s_<=3(C3^2) = 7 takes 13 nodes.
+            ([3, 3], LengthSet.up_to(3), 13, True, 6),
+            ([3, 3], LengthSet.up_to(3), 12, False, 6),
             # A budget of 1 examines the root.
             ([3, 3], LengthSet.all_positive(), 1, False, 0),
         ],
@@ -241,26 +245,27 @@ class TestStateLayout:
     layout.  Values and witnesses were recorded with the per-element
     length-mask kernel it replaced; the counts off the self-closed row are
     those of the multiplicity-cap bound, and on it those of the
-    transposition table, both with orbit-minimum first terms, or with 0
-    alone when exp(G) divides every member of L."""
+    transposition table, both under orderly generation to depth 4 on C3^2
+    (orbit-minimum first terms on C2xC4), rooted at 0 when exp(G) divides
+    every member of L."""
 
     @pytest.mark.parametrize(
         "run,expected",
         [
             # L = N: one self-closed row.
-            (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 54, 118)),
+            (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 8, 25)),
             # Interval [1,k] below the limit: k rows of "at most l terms".
-            (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 50, 91)),
+            (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 13, 33)),
             (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 43, 77)),
             # Interval reaching the limit (16 on C3^2: eight elements of
             # order 3, two copies each) collapses to the self-closed row.
-            (lambda: s_leq(C32, 16), (5, "0,1^2; 1,0^2", 54, 118)),
+            (lambda: s_leq(C32, 16), (5, "0,1^2; 1,0^2", 8, 25)),
             # Singleton and explicit sets: rows of exactly l terms.
-            (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 220, 346)),
-            (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 296, 525)),
+            (lambda: s_egz(C32), (9, "0,0^2; 0,1^2; 1,0^2; 1,1^2", 49, 101)),
+            (lambda: s_L(C32, LengthSet.of([3, 6])), (7, "0,0^2; 0,1^2; 1,0^2", 39, 98)),
             # A singleton above the exponent, searched to the limit:
             # s_{kn}(C_n^2) = kn + 2n - 2.
-            (lambda: s_L(C32, LengthSet.exactly(6)), (10, "0,0^5; 0,1^2; 1,0^2", 4063, 5785)),
+            (lambda: s_L(C32, LengthSet.exactly(6)), (10, "0,0^5; 0,1^2; 1,0^2", 1228, 2312)),
         ],
     )
     def test_pinned_counts(self, run, expected):
@@ -414,6 +419,17 @@ def unrestricted(G, L, cfg, symmetry=None):
     return _dfs(G, L, cfg.node_budget, None, symmetry, (), limit)
 
 
+def expected_symmetry(G, L, flag=False):
+    """The label a search reports: the flag trick, orderly generation on
+    groups with a permutation table, else orbit-minimum roots; with
+    "+translation", or "translation" alone for roots, when exp(G) divides
+    every member of L."""
+    rule = "flag" if flag else "orderly" if automorphism_permutations(G) else "roots"
+    if L.kind == "explicit" and all(l % G.exponent == 0 for l in L.members):
+        return "translation" if rule == "roots" else rule + "+translation"
+    return rule
+
+
 def assert_same_as_unrestricted(G, result, reference):
     complete = not reference.stopped
     assert (result.value, result.witness, result.complete, result.best_length) == (
@@ -436,7 +452,7 @@ class TestRootRestriction:
         result = s_L(G, L)
         assert_same_as_unrestricted(G, result, reference)
         # The only explicit L here is {exp}: rooted at 0.
-        assert result.stats.symmetry == ("translation" if L.kind == "explicit" else "roots")
+        assert result.stats.symmetry == expected_symmetry(G, L)
 
     @pytest.mark.parametrize("factors", factor_chains(24), ids=str)
     def test_grid_matches_unrestricted(self, factors):
@@ -454,15 +470,16 @@ class TestRootRestriction:
                 if not reference.stopped:
                     result = s_L(G, L, cfg)
                     assert_same_as_unrestricted(G, result, reference)
-                    assert result.stats.symmetry == (
-                        "translation" if L.kind == "explicit" else "roots")
+                    assert result.stats.symmetry == expected_symmetry(G, L)
 
     def test_fewer_nodes(self):
-        # C4^2 has three orbits: 0, the elements of order 4, those of order 2.
+        # C4^2 has three orbits: 0, the elements of order 4, those of order
+        # 2.  Orderly generation cuts deeper prefixes too.
         G = make_group([4, 4])
         L = LengthSet.up_to(4)
         assert unrestricted(G, L, SearchConfig()).nodes == 3921
-        assert s_L(G, L).stats.nodes == 1514
+        assert unrestricted(G, L, SearchConfig(), "roots").nodes == 1514
+        assert s_L(G, L).stats.nodes == 187
 
     @pytest.mark.parametrize("factors", [[2, 6], [4, 4]])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -507,8 +524,7 @@ class TestTranslation:
                                        parallel_depth=depth)
                     reference = unrestricted(G, L, cfg, "flag" if symmetry else "roots")
                     result = s_L(G, L, cfg)
-                    assert result.stats.symmetry == (
-                        "flag+translation" if symmetry else "translation")
+                    assert result.stats.symmetry == expected_symmetry(G, L, symmetry)
                     if not reference.stopped:
                         assert_same_as_unrestricted(G, result, reference)
                     elif depth == 0:
@@ -532,7 +548,7 @@ class TestTranslation:
     @pytest.mark.parametrize("factors,symmetry,reference_nodes,nodes", [
         ([3, 3, 3], True, 54_637, 14_449),
         ([2, 2, 4], False, 48_903, 19_116),
-        ([4, 4], False, 40_970, 17_838),
+        ([4, 4], False, 40_970, 4_193),
     ], ids=str)
     def test_pinned_counts(self, factors, symmetry, reference_nodes, nodes):
         # s_egz, against the flag mask alone or the orbit-minimum roots.
@@ -558,6 +574,96 @@ class TestTranslation:
         assert (len(full.sequences), len(reduced.sequences)) == counts
         assert reduced.sequences == tuple(S for S in full.sequences if orbit_canonical(S) == S)
         assert not all(S.terms[0][0].is_zero() for S in full.sequences)
+
+
+def brute_maps(G):
+    """Aut(G) as element-index permutations, read from the brute-force
+    matrix list through the coordinates."""
+    table = group_table(G)
+    n, r = G.exponent, G.rank
+    return [[table.index[apply_matrix(M, n, a)] for a in table.elements]
+            for M in brute_invertible_matrices(n, r)]
+
+
+def brute_orbit_least(maps, indices):
+    """Whether a sorted index tuple is least among its sorted images."""
+    return all(sorted([perm[i] for i in indices]) >= list(indices) for perm in maps)
+
+
+class TestOrderly:
+    """On groups with a permutation table, a node of 1 to 3 terms keeps only
+    the children that extend it to a prefix least among its images under
+    Aut(G).  The lexicographically least longest L-free sequence is least
+    in its orbit, and so is every prefix of it, so each search keeps the
+    value, witness, completeness and best length of the search with
+    orbit-minimum first terms, in no more nodes."""
+
+    @pytest.mark.parametrize("factors", [[2, 2], [3, 3], [4, 4], [2, 2, 2], [5, 5], [6]],
+                             ids=str)
+    def test_children_match_brute_force(self, factors):
+        # The orbit minima are the orbit-least prefixes of 1 term; for every
+        # orbit-least sorted prefix of 1 to 3 terms, the children kept are
+        # the t >= its last term that make one of up to 4 terms.
+        G = make_group(factors)
+        maps = brute_maps(G)
+        m = G.order
+        assert orbit_minima(G) == sum(1 << t for t in range(m) if brute_orbit_least(maps, (t,)))
+        for d in (1, 2, 3):
+            for prefix in itertools.combinations_with_replacement(range(m), d):
+                if brute_orbit_least(maps, prefix):
+                    kept = _orderly_children(G, prefix)
+                    for t in range(prefix[-1], m):
+                        assert bool(kept >> t & 1) == brute_orbit_least(maps, prefix + (t,)), \
+                            (prefix, t)
+
+    @pytest.mark.parametrize("factors", [[2, 2], [3, 3], [2, 2, 2], [6]], ids=str)
+    def test_prefixes_of_orbit_least_are_orbit_least(self, factors):
+        # Adding terms only lowers the order statistics of an image, so a
+        # prefix with an image below it makes the whole sequence have one.
+        G = make_group(factors)
+        maps = brute_maps(G)
+        for seq in itertools.combinations_with_replacement(range(G.order), 4):
+            if brute_orbit_least(maps, seq):
+                assert all(brute_orbit_least(maps, seq[:d]) for d in (1, 2, 3)), seq
+
+    @pytest.mark.parametrize("factors", [*factor_chains(32), (6, 6)], ids=str)
+    def test_grid_matches_roots(self, factors):
+        # Every L of root_restricted_cases and multiple_of_exp_lengths,
+        # serially and split at depth 2.  Skipped: cases the reference does
+        # not finish within the budget, and those where the search runs the
+        # reference's own rule (roots, on groups without a table).
+        G = make_group(factors)
+        n = G.exponent
+        lengths = [LengthSet.all_positive(), *(LengthSet.up_to(k) for k in range(n, d_star(G))),
+                   *multiple_of_exp_lengths(n)]
+        for L in lengths:
+            if expected_symmetry(G, L) == "roots":
+                continue
+            for depth in (0, 2):
+                cfg = SearchConfig(node_budget=20_000, parallel_depth=depth)
+                reference = unrestricted(G, L, cfg, "roots")
+                if not reference.stopped:
+                    result = s_L(G, L, cfg)
+                    assert_same_as_unrestricted(G, result, reference)
+                    assert result.stats.symmetry == expected_symmetry(G, L)
+
+    @pytest.mark.parametrize("factors,L,roots_nodes,nodes", [
+        # (serial, split at depth 2) node counts.
+        ([6, 6], LengthSet.all_positive(), 324_684, (21_854, 27_170)),
+        ([5, 5], LengthSet.up_to(5), 29_176, (4_967, 5_022)),
+    ], ids=str)
+    def test_pinned_counts(self, factors, L, roots_nodes, nodes):
+        # The split counts do not depend on the worker count.
+        G = make_group(factors)
+        reference = unrestricted(G, L, SearchConfig(), "roots")
+        assert reference.nodes == roots_nodes
+        serial = s_L(G, L)
+        assert_same_as_unrestricted(G, serial, reference)
+        for workers in (1, 2):
+            split = s_L(G, L, SearchConfig(parallel_depth=2, workers=workers))
+            assert (split.value, split.witness, split.complete) == (
+                serial.value, serial.witness, serial.complete)
+            assert (serial.stats.nodes, split.stats.nodes) == nodes
 
 
 class TestFlagTrick:
@@ -647,11 +753,13 @@ class TestTranspositionTable:
         assert result.stats.nodes == nodes
 
     @pytest.mark.parametrize("factors,cfg,nodes", [
-        ([3, 3], SearchConfig(), 54),
+        ([3, 3], SearchConfig(), 8),
+        ([5, 5], SearchConfig(), 996),
         ([2, 2, 2, 2, 2], SearchConfig(parallel_depth=2, workers=2), 7_426),
     ], ids=str)
     def test_exact_budget(self, factors, cfg, nodes):
-        # Both searches skip subtrees on table hits.
+        # The C5^2 and C2^5 searches skip subtrees on table hits (C3^2,
+        # under orderly generation, has none).
         G = make_group(factors)
         assert davenport(G, cfg).stats.nodes == nodes
         for budget, complete in ((nodes, True), (nodes - 1, False)):

@@ -47,6 +47,11 @@ class TestIndividualSweeps:
         assert outcome.cases == 40
         assert outcome.passed
 
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    def test_zerosub_soundness_runs_as_many_cases_as_asked(self, samples):
+        # The odd case goes to the first plan.
+        assert sweep_zerosub_soundness(samples=samples, seed=3).cases == samples
+
     @pytest.mark.parametrize("count", [0, -1])
     @pytest.mark.parametrize(
         "sweep,keyword",
