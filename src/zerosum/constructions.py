@@ -16,8 +16,8 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 from .errors import InvalidInputError, InvalidParamsError
-from .groups import GroupSpec, d_star, make_group
-from .sequences import Sequence, _automorphism_images, min_zero_sum_length, sigma
+from .groups import GroupSpec, automorphism_images, d_star, make_group
+from .sequences import Sequence, min_zero_sum_length, sigma
 
 
 @dataclass(frozen=True)
@@ -179,15 +179,16 @@ def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
     G = make_group([n, n])
     if S.group != G:
         raise InvalidInputError(f"sequence is over {S.group}, expected {G}")
-    if len(S) != 2 * n - 2 + k:
-        raise InvalidInputError(f"expected length {2 * n - 2 + k}, got {len(S)}")
     if not 0 <= k <= n - 1:
         raise InvalidInputError("need k in [0, n-1]")
+    if len(S) != 2 * n - 2 + k:
+        raise InvalidInputError(f"expected length {2 * n - 2 + k}, got {len(S)}")
     if k == 0:
         # phi(S) (-sigma(phi(S))) = phi(S (-sigma(S))), so extend S once.
         S, k = S.with_term(-sigma(S)), 1
     members = _member_coords(n, k)
-    return any(tuple(image) in members for image in _automorphism_images(S))
+    terms = [g.coords for g in S.expand()]
+    return any(tuple(sorted(image)) in members for image in automorphism_images(G, terms))
 
 
 @lru_cache(maxsize=64)

@@ -6,10 +6,12 @@ prime-power decomposition.  Elements are immutable coordinate tuples with
 componentwise arithmetic.  The module also provides the structural constants
 used throughout the package (exponent, order, the combinatorial lower bound
 ``d_star``), the automorphisms of homocyclic groups C_n^r, listed as the
-invertible matrices over Z_n that are their only form in the package (the
-search reads them once more as a cached table of element-index
-permutations on groups where that table is small), and the Aut(G)-orbit
-minima of any G, read from height (Ulm) sequences.
+invertible matrices over Z_n that are their only form in the package, and
+the Aut(G)-orbit minima of any G, read from height (Ulm) sequences.
+``automorphism_images`` is the one place a matrix is applied to
+coordinates; orbit canonicalisation, the inverse-structure matcher and the
+search's cached table of element-index permutations (on groups where that
+table is small) all read it.
 """
 
 from __future__ import annotations
@@ -322,6 +324,26 @@ def _automorphism_count(G: GroupSpec) -> int:
     return count
 
 
+def automorphism_images(G: GroupSpec, coords):
+    """For each automorphism phi of a homocyclic G, in
+    ``enumerate_automorphisms`` order, the list of the images phi(a) of the
+    coordinate tuples a in ``coords``, in input order.
+
+    This is the one place the package applies a matrix to coordinates:
+    row i of M maps a to coordinate i of phi(a), so the dot products of
+    every possible row with every input are computed once and each image
+    is assembled from r of them.  Refuses when called, as the lister does.
+    """
+    matrices = enumerate_automorphisms(G)  # refuses an unsupported G first
+    n, r = G.exponent, G.rank
+    coords = tuple(coords)
+    dots = {
+        row: tuple(sum(m * a for m, a in zip(row, t)) % n for t in coords)
+        for row in itertools.product(range(n), repeat=r)
+    }
+    return (list(zip(*(dots[row] for row in M))) for M in matrices)
+
+
 @lru_cache(maxsize=None)
 def automorphism_permutations(G: GroupSpec) -> tuple[tuple[bytes, bytes], ...] | None:
     """Every automorphism of a homocyclic G, in ``enumerate_automorphisms``
@@ -329,28 +351,18 @@ def automorphism_permutations(G: GroupSpec) -> tuple[tuple[bytes, bytes], ...] |
     group_table order, one ``bytes`` each; None when G is not homocyclic,
     has more than 256 elements, or the table would hold more than
     PERMUTATION_TABLE_CAP entries (|Aut(G)| * |G|).
-
-    phi(a) = sum_j a_j phi(e_j), and table order is coordinate order with
-    the first coordinate most significant, so the images are built from the
-    last coordinate up: each step adds k phi(e_j), k = 0..n-1, to the
-    images so far through the table's addition rows.
     """
     if (not G.is_homocyclic() or G.order > 256
             or _automorphism_count(G) * G.order > PERMUTATION_TABLE_CAP):
         return None
-    n, r, m = G.exponent, G.rank, G.order
     table = group_table(G)
     maps = []
-    for M in enumerate_automorphisms(G):
-        images = [0]
-        for j in reversed(range(r)):
-            rows = [table.add_row(table.index[tuple(k * row[j] % n for row in M)])
-                    for k in range(n)]
-            images = [add[x] for add in rows for x in images]
-        inv = bytearray(m)
-        for i, j in enumerate(images):
+    for image in automorphism_images(G, table.elements):
+        perm = bytes(map(table.index.__getitem__, image))
+        inv = bytearray(G.order)
+        for i, j in enumerate(perm):
             inv[j] = i
-        maps.append((bytes(images), bytes(inv)))
+        maps.append((perm, bytes(inv)))
     return tuple(maps)
 
 

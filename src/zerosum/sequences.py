@@ -8,12 +8,11 @@ split used by the mod-p machinery.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
 from .errors import GroupMismatchError, InvalidInputError, ResourceLimitError
-from .groups import GroupElement, GroupSpec, enumerate_automorphisms, group_table
+from .groups import GroupElement, GroupSpec, automorphism_images, group_table
 
 # Cap on |G| * (|S|+1) feasibility/counting table cells.
 TABLE_CELL_CAP = 2**26
@@ -104,9 +103,6 @@ class Sequence:
 
     def support(self) -> tuple[GroupElement, ...]:
         return tuple(g for g, _ in self.terms)
-
-    def max_multiplicity(self) -> int:
-        return max((m for _, m in self.terms), default=0)
 
     def expand(self):
         """Iterate elements with repetition, in canonical order."""
@@ -309,26 +305,6 @@ def subsequence_count_table(S: Sequence, mod: int | None = None, max_len: int | 
     return [[x >> b & field for b in shifts] for x in packed]
 
 
-def _automorphism_images(S: Sequence):
-    """For each automorphism phi of the homocyclic group of S, in
-    ``enumerate_automorphisms`` order, the sorted list of the coordinate
-    tuples of phi(S), with repetition.
-
-    Row i of phi's matrix maps a term t to coordinate i of phi(t), so the
-    dot products of every possible row with every term are computed once
-    and each image is assembled from r of them.
-    """
-    matrices = enumerate_automorphisms(S.group)  # refuses an unsupported G first
-    n, r = S.group.exponent, S.group.rank
-    terms = [g.coords for g in S.expand()]
-    dots = {
-        row: tuple(sum(a * c for a, c in zip(row, t)) % n for t in terms)
-        for row in itertools.product(range(n), repeat=r)
-    }
-    for mat in matrices:
-        yield sorted(zip(*(dots[row] for row in mat)))
-
-
 def orbit_canonical(S: Sequence) -> Sequence:
     """Lexicographically least image of S under the automorphism group
     (homocyclic groups only; small orders).
@@ -336,5 +312,6 @@ def orbit_canonical(S: Sequence) -> Sequence:
     Images are compared as their sorted term coordinates, which orders
     them as the element-index sequences of ``group_table`` do.
     """
-    best = min(_automorphism_images(S))
+    terms = [g.coords for g in S.expand()]
+    best = min(sorted(image) for image in automorphism_images(S.group, terms))
     return Sequence.from_elements(S.group, (GroupElement(S.group, c) for c in best))

@@ -163,7 +163,7 @@ class TestMatcher:
         for S in inverse_family_members(n, k):
             assert match_inverse_structure(S, n, k)
 
-    def test_automorphism_images_match(self):
+    def test_images_of_members_match(self):
         rng = random.Random(7)
         autos = brute_invertible_matrices(3, 2)
         for k in (0, 1, 2):
@@ -193,6 +193,13 @@ class TestMatcher:
     def test_wrong_length_raises(self):
         with pytest.raises(InvalidInputError):
             match_inverse_structure(Sequence.parse(C32, "1,0^2"), 3, 2)
+
+    @pytest.mark.parametrize("k", [-4, 3, 7])
+    def test_k_out_of_range_raises_before_length(self, k):
+        # A length-6 sequence fits k = 2 only; k is checked first.
+        S = Sequence.parse(C32, "1,0^3; 0,1^3")
+        with pytest.raises(InvalidInputError, match="need k"):
+            match_inverse_structure(S, 3, k)
 
     def test_wrong_group_raises(self):
         S = Sequence.parse(make_group([4, 4]), "1,0^3; 0,1^3; 1,1^2")

@@ -20,6 +20,7 @@ from zerosum import (
     parse_group,
 )
 from zerosum.groups import (
+    automorphism_images,
     automorphism_permutations,
     factorize,
     group_table,
@@ -236,11 +237,28 @@ class TestAutomorphisms:
             list(enumerate_automorphisms(make_group([2, 4])))
 
     def test_refuses_at_call(self):
-        # Both refusals come from the call itself, before any next().
+        # Both refusals come from the call itself, before any next(), for
+        # the lister and for the image helper that reads it.
         with pytest.raises(ResourceLimitError):
             enumerate_automorphisms(make_group([5, 5, 5]))
         with pytest.raises(UnsupportedGroupError):
             enumerate_automorphisms(make_group([2, 4]))
+        with pytest.raises(ResourceLimitError):
+            automorphism_images(make_group([5, 5, 5]), [(1, 0, 0)])
+        with pytest.raises(UnsupportedGroupError):
+            automorphism_images(make_group([2, 4]), [(1, 0)])
+
+    @pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (2, 3), (6, 1)])
+    def test_images_are_the_matrix_action(self, n, r):
+        # Unsorted, with a repeat; images come per matrix in lister order,
+        # each in input order.
+        G = make_group([n] * r)
+        coords = [(1,) * r, (0,) * (r - 1) + (n - 1,), (1,) * r, (n - 1,) + (0,) * (r - 1)]
+        matrices = brute_invertible_matrices(n, r)
+        assert list(automorphism_images(G, coords)) == [
+            [apply_matrix(M, n, a) for a in coords] for M in matrices
+        ]
+        assert list(automorphism_images(G, [])) == [[] for _ in matrices]
 
 
 class TestPermutationTable:

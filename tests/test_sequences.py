@@ -13,6 +13,7 @@ from zerosum import (
     InvalidInputError,
     LengthSet,
     Sequence,
+    UnsupportedGroupError,
     feasibility,
     has_zero_sum_in,
     make_group,
@@ -55,7 +56,6 @@ class TestSequenceBasics:
         assert [(g.coords, m) for g, m in S.terms] == [((0, 1), 1), ((1, 0), 3)]
         assert S.length == 4
         assert len(S) == 4
-        assert S.max_multiplicity() == 3
         assert S.multiplicity(C32.element((1, 0))) == 3
         assert S.multiplicity(C32.element((2, 2))) == 0
 
@@ -331,3 +331,8 @@ class TestAutomorphismAction:
     def test_orbit_canonical_of_empty_sequence(self):
         for G in (C32, make_group([4, 4])):
             assert orbit_canonical(Sequence.empty(G)) == Sequence.empty(G)
+
+    def test_orbit_canonical_refuses_non_homocyclic(self):
+        G = make_group([2, 4])
+        with pytest.raises(UnsupportedGroupError):
+            orbit_canonical(Sequence.parse(G, "1,0; 0,1"))
