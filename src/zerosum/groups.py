@@ -9,9 +9,11 @@ used throughout the package (exponent, order, the combinatorial lower bound
 invertible matrices over Z_n that are their only form in the package, and
 the Aut(G)-orbit minima of any G, read from height (Ulm) sequences.
 ``automorphism_images`` is the one place a matrix is applied to
-coordinates; orbit canonicalisation, the inverse-structure matcher and the
-search's cached table of element-index permutations (on groups where that
-table is small) all read it.
+coordinates; orbit canonicalisation and the inverse-structure matcher read
+its images map by map, and the search's cached column-major table of
+element indices (``automorphism_permutations``, on homocyclic groups with
+|G| <= 256 and |Aut(G)| <= 2^14, such as C_3^3 and C_n^2 for n <= 12) reads
+its byte lanes.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .errors import (
 # Groups larger than this are refused by the enumerators so that downstream
 # tables stay bounded.
 ENUMERATION_CAP = 10**6
-# The most entries, |Aut(G)| * |G|, an automorphism permutation table holds;
-# each entry is one byte, so the table also needs |G| <= 256.
-PERMUTATION_TABLE_CAP = 2**17
+# The most automorphisms an automorphism permutation table holds: a pass of
+# the search's orderly check costs time in proportion to |Aut(G)|.  Each entry
+# is one byte, so the table also needs |G| <= 256.
+PERMUTATION_TABLE_CAP = 2**14
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -298,17 +301,21 @@ def enumerate_automorphisms(G: GroupSpec):
     reduced = tuple(tuple(tuple(c % p for c in row) for p in primes) for row in rows)
 
     def extend(prefix, spans):
-        last = len(prefix) == r - 1
-        for row, mods in zip(rows, reduced):
-            if any(v in span for v, span in zip(mods, spans)):
-                continue
-            if last:
-                yield prefix + (row,)
-                continue
-            grown = tuple(
-                {tuple((a * x + y) % p for x, y in zip(v, s)) for s in span for a in range(p)}
-                for v, span, p in zip(mods, spans, primes)
-            )
+        # The rows outside the span of the prefix mod every prime, in order.
+        free = [(row, mods) for row, mods in zip(rows, reduced)
+                if not any(map(set.__contains__, spans, mods))]
+        if len(prefix) == r - 1:
+            yield from map(prefix.__add__, ((row,) for row, _ in free))
+            return
+        for row, mods in free:
+            grown = []
+            for v, span, p in zip(mods, spans, primes):
+                # span + a*v for a = 0, ..., p-1, one translate by v at a time.
+                out, shifted = set(span), span
+                for _ in range(p - 1):
+                    shifted = {tuple([(x + y) % p for x, y in zip(v, s)]) for s in shifted}
+                    out |= shifted
+                grown.append(out)
             yield from extend(prefix + (row,), grown)
 
     return extend((), tuple({(0,) * r} for _ in primes))
@@ -324,46 +331,92 @@ def _automorphism_count(G: GroupSpec) -> int:
     return count
 
 
-def automorphism_images(G: GroupSpec, coords):
+def automorphism_images(G: GroupSpec, coords, lanes: bool = False):
     """For each automorphism phi of a homocyclic G, in
     ``enumerate_automorphisms`` order, the list of the images phi(a) of the
     coordinate tuples a in ``coords``, in input order.
 
     This is the one place the package applies a matrix to coordinates:
-    row i of M maps a to coordinate i of phi(a), so the dot products of
-    every possible row with every input are computed once and each image
-    is assembled from r of them.  Refuses when called, as the lister does.
+    row i of M maps a to coordinate i of phi(a), so each image is assembled
+    from r dot products of a matrix row with an input, computed the first
+    time that row is met and kept for later maps.
+
+    With ``lanes``, the images come transposed as byte lanes: a list with,
+    per input a, a tuple of r ``bytes`` whose k-th byte is coordinate i of
+    phi_k(a), for the k-th automorphism phi_k.  Each matrix row is then one
+    byte, its index among the n^r rows, and lane i of a is row i of every
+    matrix translated through the table of dot products with a, so no
+    Python object is made per map and input.  That needs n^r <= 256, which
+    a group of at most 256 elements meets.  Refuses when called, as the
+    lister does.
     """
     matrices = enumerate_automorphisms(G)  # refuses an unsupported G first
     n, r = G.exponent, G.rank
     coords = tuple(coords)
-    dots = {
-        row: tuple(sum(m * a for m, a in zip(row, t)) % n for t in coords)
-        for row in itertools.product(range(n), repeat=r)
-    }
-    return (list(zip(*(dots[row] for row in M))) for M in matrices)
+    if lanes:
+        if n**r > 256:
+            raise ResourceLimitError(f"byte lanes need at most 256 elements, not {n**r}")
+        rows = list(itertools.product(range(n), repeat=r))
+        row_id = {row: i for i, row in enumerate(rows)}.__getitem__
+        # ids[i][k]: the index of row i of the k-th matrix.
+        ids = [bytes(map(row_id, column)) for column in zip(*matrices)]
+        out = []
+        for a in coords:
+            # dot[i] = rows[i] . a mod n, built one coordinate at a time in
+            # the rows' product order.
+            dot = [0]
+            for x in a:
+                dot = [(d + c * x) % n for d in dot for c in range(n)]
+            dot = bytes(dot) + bytes(256 - len(dot))
+            out.append(tuple(lane.translate(dot) for lane in ids))
+        return out
+
+    def images():
+        dots = {}
+        for M in matrices:
+            columns = []
+            for row in M:
+                column = dots.get(row)
+                if column is None:
+                    column = dots[row] = tuple(sum(m * x for m, x in zip(row, a)) % n
+                                               for a in coords)
+                columns.append(column)
+            yield list(zip(*columns))
+
+    return images()
+
+
+def permutation_table_fits(G: GroupSpec) -> bool:
+    """Whether G has an ``automorphism_permutations`` table: homocyclic,
+    at most 256 elements (one byte per entry) and at most
+    PERMUTATION_TABLE_CAP automorphisms.  Lists no automorphism."""
+    return (G.is_homocyclic() and G.order <= 256
+            and _automorphism_count(G) <= PERMUTATION_TABLE_CAP)
 
 
 @lru_cache(maxsize=None)
-def automorphism_permutations(G: GroupSpec) -> tuple[tuple[bytes, bytes], ...] | None:
-    """Every automorphism of a homocyclic G, in ``enumerate_automorphisms``
-    order, as a pair (phi, phi^-1) of element-index permutations in
-    group_table order, one ``bytes`` each; None when G is not homocyclic,
-    has more than 256 elements, or the table would hold more than
-    PERMUTATION_TABLE_CAP entries (|Aut(G)| * |G|).
+def automorphism_permutations(G: GroupSpec) -> tuple[bytes, ...] | None:
+    """Aut(G) as a column-major table of element indices in group_table
+    order: entry x is one ``bytes`` whose k-th byte is phi_k(x), for the
+    k-th automorphism in ``enumerate_automorphisms`` order.  None unless
+    ``permutation_table_fits(G)``.
+
+    It is built from the byte lanes of ``automorphism_images``: the index
+    of a coordinate tuple c is sum_i c_i * n^(r-1-i), so weighting lane i by
+    n^(r-1-i) and adding the lanes as big ints gives every index at once.
+    No lane carries into the next byte, since each sum is below n^r <= 256.
     """
-    if (not G.is_homocyclic() or G.order > 256
-            or _automorphism_count(G) * G.order > PERMUTATION_TABLE_CAP):
+    if not permutation_table_fits(G):
         return None
-    table = group_table(G)
-    maps = []
-    for image in automorphism_images(G, table.elements):
-        perm = bytes(map(table.index.__getitem__, image))
-        inv = bytearray(G.order)
-        for i, j in enumerate(perm):
-            inv[j] = i
-        maps.append((perm, bytes(inv)))
-    return tuple(maps)
+    n, r = G.exponent, G.rank
+    count = _automorphism_count(G)
+    columns = []
+    for lanes in automorphism_images(G, group_table(G).elements, lanes=True):
+        index = 0
+        for i, lane in enumerate(lanes):
+            index += n ** (r - 1 - i) * int.from_bytes(lane, "little")
+        columns.append(index.to_bytes(count, "little"))
+    return tuple(columns)
 
 
 @lru_cache(maxsize=None)

@@ -52,17 +52,19 @@ Read, Ann. Discrete Math. 2 (1978); B. D. McKay, J. Algorithms 26 (1998)).
 
 On groups whose automorphisms fit a permutation table
 (``groups.automorphism_permutations``: homocyclic, |G| <= 256 and
-|Aut(G)| * |G| <= 2^17, so C_n^2 for n <= 8, C_2^3, and C_n for n <= 256),
-the search is orderly to depth 4: a node of 1 to 3 terms keeps a child t
-only if its sorted prefix Q.t is least among its sorted images under
-Aut(G).  Every prefix P of the least longest sequence W is least in its
-orbit: were sorted phi(P) below P, adding the rest of W could only lower
-the order statistics of the image, so sorted phi(W) would be below W.
-Value and witness stay those of the unrestricted search.  The children kept
-below Q depend on (G, Q) alone and are computed once per group and prefix
-(``_orderly_children``), in one pass over the maps, rather than by a pass
-over Aut(G) per node.  Other groups keep the orbit-minimum roots: the same
-rule cut at depth 1.
+|Aut(G)| <= 2^14, so C_n^2 for n <= 12 and n = 14, C_2^3, C_3^3, and C_n
+for n <= 256), the search is orderly to depth 4: a node of 1 to 3 terms
+keeps a child t only if its sorted prefix Q.t is least among its sorted
+images under Aut(G).  Every prefix P of the least longest sequence W is
+least in its orbit: were sorted phi(P) below P, adding the rest of W could
+only lower the order statistics of the image, so sorted phi(W) would be
+below W.  Value and witness stay those of the unrestricted search.  The
+children kept below Q depend on (G, Q) alone and are computed once per
+group and prefix (``_orderly_children``), with big-int operations on byte
+lanes, one lane per map, rather than by a pass over Aut(G) per node.  A
+process pool starts with the parent's cached children and sends back the
+ones its workers compute.  Other groups keep the orbit-minimum roots: the
+same rule cut at depth 1.
 
 When exp(G) divides every member of L, the root's only child is 0 instead
 (and under orderly generation the children of (0,) are then masked).
@@ -112,10 +114,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from typing import NamedTuple
 
 from .errors import InvalidInputError
@@ -126,6 +126,7 @@ from .groups import (
     group_table,
     is_prime,
     orbit_minima,
+    permutation_table_fits,
 )
 from .sequences import LengthSet, Sequence, orbit_canonical, sigma
 
@@ -145,13 +146,14 @@ class SearchConfig:
     machines; results are deterministic when the search finishes or stops on
     the node budget.  Every search restricts the first term to Aut(G)-orbit
     minima, or to 0 when exp(G) divides every member of L (translation),
-    and on groups with a small permutation table checks every prefix of up
-    to 4 terms for orbit-leastness (orderly generation); all keep the value
-    and the witness.  ``symmetry_reduction`` replaces the orbit minima and
-    orderly generation by the flag trick on homocyclic groups of prime
-    exponent (same value, possibly another witness; translation still
-    applies) and changes nothing on other groups.  A positive
-    ``parallel_depth`` splits the tree into subtasks at that depth;
+    and on groups with a small permutation table (homocyclic, |G| <= 256,
+    |Aut(G)| <= 2^14: C_3^3 and C_n^2 for n <= 12 among them) checks every
+    prefix of up to 4 terms for orbit-leastness (orderly generation); all
+    keep the value and the witness.  ``symmetry_reduction`` replaces the
+    orbit minima and orderly generation by the flag trick on homocyclic
+    groups of prime exponent (same value, possibly another witness;
+    translation still applies) and changes nothing on other groups.  A
+    positive ``parallel_depth`` splits the tree into subtasks at that depth;
     ``workers`` > 1 runs them in a process pool of at most that many
     processes (and no more than the subtasks or the usable CPUs) and, with
     ``parallel_depth`` 0, splits at depth 2.  Searches have no depth cap:
@@ -182,8 +184,9 @@ class SearchStats:
     search ran: "roots" (orbit-minimum first terms), "translation" (the
     first term is 0, when exp(G) divides every member of L), "orderly" or
     "orderly+translation" (prefixes of up to 4 terms orbit-least, on groups
-    with a permutation table), "flag" or "flag+translation" with the flag
-    trick, or "none" for a result certified infinite without a search."""
+    with a permutation table: ``groups.permutation_table_fits``), "flag" or
+    "flag+translation" with the flag trick, or "none" for a result
+    certified infinite without a search."""
 
     nodes: int
     pruned: int
@@ -291,39 +294,90 @@ def _translate(x: int, moves) -> int:
     return x
 
 
-@lru_cache(maxsize=None)
-def _orderly_children(G: GroupSpec, prefix: tuple[int, ...]) -> int:
-    """The t whose sorted prefix + (t,) is least among its images under
-    Aut(G), as an |G|-bit int, for an orbit-least sorted ``prefix`` Q on a
-    group with an automorphism permutation table; only t >= Q[-1] are
-    decided.
+# The orderly children of each prefix Q, per group: _masks[G][Q].  A pool
+# starts with the parent's masks for its group and sends back the ones its
+# workers compute, so they outlive the pool.
+_masks: dict[GroupSpec, dict[tuple[int, ...], int]] = {}
 
-    Per map phi, let A = sorted phi(Q) and i the first index where A != Q
-    (A[i] > Q[i], as Q is orbit-least).  With no such i, phi(Q.t) sorts
-    below Q.t iff phi(t) < t.  Otherwise it does when phi(t) < Q[i], does
-    not when phi(t) > Q[i], and t = phi^-1(Q[i]) is compared directly.
+
+def _orderly_children(G: GroupSpec, prefix: tuple[int, ...]) -> int:
+    """The t >= Q[-1] whose sorted prefix + (t,) is least among its images
+    under Aut(G), as an |G|-bit int, for an orbit-least sorted ``prefix`` Q
+    of d terms on a group with an automorphism permutation table; cached in
+    ``_masks``.
+
+    Lane k of a big int is its byte k, for the k-th map phi.  With B the
+    sorted phi(Q.t) and P = Q.t, B < P iff some j has B[j] < P[j] and
+    B[i] <= P[i] for every i < j; and B[i] <= w iff more than i terms of B
+    are <= w.  The count lanes of phi(Q) below Q[j] and below Q[j] + 1 are
+    sums of translated table columns, and phi(t) adds one to them according
+    to its class among Q's values (below, at or above each).  So, per class
+    c, the lanes where some j < d gives B < P, and those where B[i] <= P[i]
+    for every i < d, are fixed by Q: bit c of ``decides`` and of ``ties``.
+    Per t, one translate puts the class bit of phi(t) in every lane.  Where
+    it meets ``decides``, phi cuts Q.t; where it meets ``ties``, phi cuts it
+    iff B[d] < t as well, that is, phi(t) and every term of phi(Q) are below
+    t.  Counts stay at most d, so no lane carries into the next byte.
     """
-    last, d = prefix[-1], len(prefix)
-    m = G.order
-    q = list(prefix)
-    cut = 0
-    for perm, inv in automorphism_permutations(G):
-        image = sorted([perm[x] for x in prefix])
-        i = 0
-        while i < d and image[i] == q[i]:
-            i += 1
-        if i == d:
-            for t in range(last, m):
-                if perm[t] < t:
-                    cut |= 1 << t
+    masks = _masks.setdefault(G, {})
+    mask = masks.get(prefix)
+    if mask is not None:
+        return mask
+    columns = automorphism_permutations(G)
+    last = prefix[-1]
+    ones = int.from_bytes(b"\x01" * len(columns[0]), "little")
+
+    def lanes(x, table):
+        return int.from_bytes(columns[x].translate(table), "little")
+
+    def more(count, j):
+        """The lanes where count > j, as 1 in each."""
+        return ((count + (127 - j) * ones) >> 7) & ones if j >= 0 else ones
+
+    values = sorted(set(prefix))
+    below = {}  # w -> count lanes of the terms of phi(Q) below w
+    for w in {v + e for v in values for e in (0, 1)}:
+        table = b"\x01" * w + bytes(256 - w)
+        below[w] = sum(lanes(x, table) for x in prefix)
+    # Per j: the class bound of "phi(t) < Q[j]", then B[j] < P[j] and
+    # B[j] <= P[j] without and with phi(t) counted.
+    terms = [(2 * values.index(q), more(below[q], j), more(below[q], j - 1),
+              more(below[q + 1], j), more(below[q + 1], j - 1))
+             for j, q in enumerate(prefix)]
+    decides = ties = 0
+    for c in range(2 * len(values) + 1):
+        decided, tied = 0, ones
+        for bound, lt, lt_t, le, le_t in terms:
+            decided |= tied & (lt_t if c <= bound else lt)
+            tied &= le_t if c <= bound + 1 else le
+        decides |= decided << c
+        ties |= tied << c
+    # b -> 1 << class(b): 2i between values[i-1] and values[i], 2i+1 at values[i].
+    classes = bytearray()
+    prev = -1
+    for i, v in enumerate(values):
+        classes += bytes([1 << 2 * i]) * (v - prev - 1) + bytes([2 << 2 * i])
+        prev = v
+    classes += bytes([1 << 2 * len(values)]) * (255 - prev)
+    classes = bytes(classes)
+
+    mask = 0
+    for t in range(last, G.order):
+        image = lanes(t, classes)
+        if image & decides:
             continue
-        v = q[i]
-        for u in range(v):
-            cut |= 1 << inv[u]
-        t = inv[v]
-        if t >= last and sorted(image + [v]) < q + [t]:
-            cut |= 1 << t
-    return ((1 << m) - 1) & ~cut
+        tied = image & ties
+        if tied:
+            under = b"\xff" * t + bytes(256 - t)
+            for x in (t, *values):
+                tied &= lanes(x, under)
+                if not tied:
+                    break
+            else:
+                continue
+        mask |= 1 << t
+    masks[prefix] = mask
+    return mask
 
 
 class _Outcome(NamedTuple):
@@ -555,7 +609,7 @@ def _symmetry_applicable(G: GroupSpec, L: LengthSet, cfg: SearchConfig) -> str:
     flag = cfg.symmetry_reduction and G.is_homocyclic() and is_prime(G.exponent)
     if flag:
         rule = "flag"
-    elif automorphism_permutations(G) is not None:
+    elif permutation_table_fits(G):
         rule = "orderly"
     else:
         rule = "roots"
@@ -568,6 +622,21 @@ def _deadline(cfg: SearchConfig) -> float | None:
     return time.monotonic() + cfg.time_budget if cfg.time_budget else None
 
 
+def _install_masks(G: GroupSpec, masks: dict) -> None:
+    """Pool initializer: start a worker with the parent's orderly masks."""
+    _masks.setdefault(G, {}).update(masks)
+
+
+def _subtask(G, L, node_budget, deadline, symmetry, prefix, cap):
+    """``_dfs`` below a prefix in a pool worker, with the orderly masks it
+    computed: those past the ones the mask cache held before (a dict keeps
+    insertion order)."""
+    masks = _masks.setdefault(G, {})
+    known = len(masks)
+    outcome = _dfs(G, L, node_budget, deadline, symmetry, prefix, cap)
+    return outcome, dict(islice(masks.items(), known, None))
+
+
 def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
     """Split the DFS tree at ``depth`` into independent subtasks.
 
@@ -575,7 +644,9 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
     subtasks share the node budget as if run one after another: a pool
     result that would not fit in what is left is searched again with exactly
     that budget.  The outcome does not depend on scheduling or worker count.
-    The pool starts at most one process per worker, subtask and usable CPU.
+    The pool starts at most one process per worker, subtask and usable CPU,
+    each with this process's orderly masks for G, and the masks its workers
+    compute are kept here, so a later pool on G computes none it has seen.
     """
     deadline = _deadline(cfg)
     split = _dfs(G, L, cfg.node_budget, deadline, symmetry, (), min(depth, limit), collect=True)
@@ -589,14 +660,25 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     size = min(cfg.workers, len(split.found), cpus)
-    pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    masks = _masks.setdefault(G, {})
+    pool = None
+    if size > 1:
+        # Imported here: the process pool module is a large share of the
+        # package's import time, and only pooled searches need it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=size, initializer=_install_masks,
+                                   initargs=(G, dict(masks)))
     try:
         if pool is not None:
-            futures = [pool.submit(_dfs, G, L, cfg.node_budget - nodes, deadline, symmetry, pfx,
-                                   limit) for pfx in split.found]
+            futures = [pool.submit(_subtask, G, L, cfg.node_budget - nodes, deadline, symmetry,
+                                   pfx, limit) for pfx in split.found]
         for pfx, future in zip(split.found, futures):
             left = cfg.node_budget - nodes
-            sub = future.result() if future is not None else None
+            sub = None
+            if future is not None:
+                sub, added = future.result()
+                masks.update(added)
             if sub is None or sub.nodes > left:
                 sub = _dfs(G, L, left, deadline, symmetry, pfx, limit)
             if sub.best > best:

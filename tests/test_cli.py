@@ -69,10 +69,12 @@ class TestInvariant:
         assert egz["value"] == 9
 
     @pytest.mark.parametrize("args,symmetry", [
-        (("C3^3", "--leq", "4"), "roots"),
+        # C3^2 and C3^3 have a permutation table: orderly generation.
+        (("C3^3", "--leq", "4"), "orderly"),
         (("C3^3", "--leq", "4", "--symmetry"), "flag"),
-        # C3^2 has a permutation table: orderly generation.
         (("C3^2", "--davenport"), "orderly"),
+        # C2xC4 is not homocyclic: orbit-minimum roots.
+        (("C2xC4", "--davenport"), "roots"),
         # exp(G) divides every member of L: the search is rooted at 0.
         (("C3^2", "--egz"), "orderly+translation"),
         (("C2xC4", "--egz"), "translation"),

@@ -26,6 +26,7 @@ from zerosum.groups import (
     group_table,
     is_prime,
     orbit_minima,
+    permutation_table_fits,
 )
 
 from conftest import all_elements, apply_matrix, brute_invertible_matrices, factor_chains
@@ -259,37 +260,51 @@ class TestAutomorphisms:
             [apply_matrix(M, n, a) for a in coords] for M in matrices
         ]
         assert list(automorphism_images(G, [])) == [[] for _ in matrices]
+        # Byte lanes: per input, coordinate i of its image under every map.
+        assert automorphism_images(G, coords, lanes=True) == [
+            tuple(bytes(apply_matrix(M, n, a)[i] for M in matrices) for i in range(r))
+            for a in coords
+        ]
+
+    def test_lanes_need_at_most_256_elements(self):
+        with pytest.raises(ResourceLimitError):
+            automorphism_images(make_group([17, 17]), [(1, 0)], lanes=True)
 
 
 class TestPermutationTable:
     @pytest.mark.parametrize(
-        "n,r", [(2, 2), (3, 2), (4, 2), (6, 2), (2, 3), (5, 2), (12, 1), (256, 1)]
+        "n,r", [(2, 2), (3, 2), (4, 2), (6, 2), (2, 3), (5, 2), (12, 1), (256, 1), (3, 3), (9, 2)]
     )
     def test_is_the_matrix_action(self, n, r):
-        # One (phi, phi^-1) pair of index permutations per matrix, in the
-        # lister's order; C256 fills the byte range.
+        # One column per element x: byte k is phi_k(x), for the k-th matrix
+        # in the lister's order; C256 fills the byte range.
         G = make_group([n] * r)
         table = group_table(G)
-        maps = automorphism_permutations(G)
-        assert len(maps) == gl_order(n, r)
-        for M, (perm, inv) in zip(brute_invertible_matrices(n, r), maps):
-            assert list(perm) == [table.index[apply_matrix(M, n, a)] for a in table.elements]
-            assert [inv[j] for j in perm] == list(range(G.order))
+        columns = automorphism_permutations(G)
+        assert len(columns) == G.order
+        assert all(len(column) == gl_order(n, r) for column in columns)
+        for k, M in enumerate(brute_invertible_matrices(n, r)):
+            assert [column[k] for column in columns] == \
+                [table.index[apply_matrix(M, n, a)] for a in table.elements]
 
     @pytest.mark.parametrize("factors,tabled", [
-        # |Aut(G)| * |G| against the cap of 2^17 = 131,072.
-        ([6, 6], True),  # 10,368
-        ([7, 7], True),  # 98,784
-        ([8, 8], True),  # 98,304
-        ([256], True),  # 32,768
-        ([257], False),  # 65,792, but more than 256 elements
-        ([3, 3, 3], False),  # 303,264
-        ([2, 2, 2, 2], False),  # 322,560
-        ([9, 9], False),  # 314,928
+        # |Aut(G)| against the cap of 2^14 = 16,384, and |G| <= 256.
+        ([6, 6], True),  # 288
+        ([7, 7], True),  # 2,016
+        ([8, 8], True),  # 1,536
+        ([3, 3, 3], True),  # 11,232
+        ([9, 9], True),  # 3,888
+        ([256], True),  # 128
+        ([257], False),  # 256, but more than 256 elements
+        ([2, 2, 2, 2], False),  # 20,160
+        ([13, 13], False),  # 26,208
+        ([4, 4, 4], False),  # 86,016
         ([2, 4], False),  # not homocyclic
     ], ids=str)
     def test_only_small_homocyclic_groups(self, factors, tabled):
-        assert (automorphism_permutations(make_group(factors)) is not None) == tabled
+        G = make_group(factors)
+        assert permutation_table_fits(G) == tabled
+        assert (automorphism_permutations(G) is not None) == tabled
 
 
 def brute_orbit_minima(factors):

@@ -1,8 +1,10 @@
 """Exhaustive-search invariants cross-validated against multiset brute force."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import os
 from concurrent.futures import Future
 
@@ -192,26 +194,28 @@ class TestBudgets:
 
     @pytest.mark.parametrize("budget", [5_000, 46_199, 46_200, 50_000])
     def test_partitioned_budget_bounds_total_nodes(self, budget):
-        # The whole C3^3 s_<=4 tree split at depth 2 takes 46,200 nodes.
-        C333 = make_group([3, 3, 3])
-        one, two = (s_leq(C333, 4, SearchConfig(node_budget=budget, parallel_depth=2,
-                                                workers=workers))
+        # The whole C3^3 s_<=4 tree with orbit-minimum roots split at depth
+        # 2 takes 46,200 nodes in 25 subtasks.  (s_leq runs it orderly, in
+        # 1,620 nodes and 2 subtasks.)
+        G, L = make_group([3, 3, 3]), LengthSet.up_to(4)
+        one, two = (unrestricted(G, L, SearchConfig(node_budget=budget, parallel_depth=2,
+                                                     workers=workers), "roots")
                     for workers in (1, 2))
-        for result in (one, two):
-            assert result.complete == (budget >= 46_200)
-            assert result.stats.nodes == min(budget, 46_200)
-        assert (one.witness, one.stats.pruned, one.complete) == \
-            (two.witness, two.stats.pruned, two.complete)
+        for outcome in (one, two):
+            assert outcome.stopped == (budget < 46_200)
+            assert outcome.nodes == min(budget, 46_200)
+        assert (one.best_stack, one.pruned, one.stopped) == \
+            (two.best_stack, two.pruned, two.stopped)
 
     def test_workers_alone_split_at_depth_two(self):
         # workers > 1 with no parallel_depth splits at depth 2, the same
         # tree as parallel_depth=2, whether s_L is called from the CLI or not.
-        C333 = make_group([3, 3, 3])
-        pooled = s_leq(C333, 4, SearchConfig(workers=2))
-        split = s_leq(C333, 4, SearchConfig(parallel_depth=2))
+        G = make_group([2, 2, 6])
+        pooled = s_leq(G, 6, SearchConfig(workers=2))
+        split = s_leq(G, 6, SearchConfig(parallel_depth=2))
         assert pooled.value == split.value == 10
         assert pooled.witness == split.witness
-        assert pooled.stats.nodes == split.stats.nodes == 46_200
+        assert pooled.stats.nodes == split.stats.nodes == 25_757
 
     def test_partition_phase_cut_spends_only_the_budget(self):
         result = s_leq(make_group([3, 3, 3]), 4, SearchConfig(node_budget=30, parallel_depth=2))
@@ -590,6 +594,50 @@ def brute_orbit_least(maps, indices):
     return all(sorted([perm[i] for i in indices]) >= list(indices) for perm in maps)
 
 
+def scan_children(maps, m, prefix):
+    """``_orderly_children`` as one Python pass over (phi, phi^-1) pairs of
+    element-index permutations: the per-map reference for its byte lanes.
+    Only t >= Q[-1] are decided.
+
+    Per map phi, let A = sorted phi(Q) and i the first index where A != Q
+    (A[i] > Q[i], as Q is orbit-least).  With no such i, phi(Q.t) sorts
+    below Q.t iff phi(t) < t.  Otherwise it does when phi(t) < Q[i], does
+    not when phi(t) > Q[i], and t = phi^-1(Q[i]) is compared directly.
+    """
+    last, d = prefix[-1], len(prefix)
+    q = list(prefix)
+    cut = 0
+    for perm, inv in maps:
+        image = sorted([perm[x] for x in prefix])
+        i = 0
+        while i < d and image[i] == q[i]:
+            i += 1
+        if i == d:
+            for t in range(last, m):
+                if perm[t] < t:
+                    cut |= 1 << t
+            continue
+        v = q[i]
+        for u in range(v):
+            cut |= 1 << inv[u]
+        t = inv[v]
+        if t >= last and sorted(image + [v]) < q + [t]:
+            cut |= 1 << t
+    return ((1 << m) - 1) & ~cut
+
+
+def table_maps(G):
+    """The permutation table's maps as (phi, phi^-1) pairs of index lists."""
+    columns = automorphism_permutations(G)
+    maps = []
+    for perm in zip(*columns):
+        inv = [0] * G.order
+        for i, j in enumerate(perm):
+            inv[j] = i
+        maps.append((perm, inv))
+    return maps
+
+
 class TestOrderly:
     """On groups with a permutation table, a node of 1 to 3 terms keeps only
     the children that extend it to a prefix least among its images under
@@ -615,6 +663,22 @@ class TestOrderly:
                     for t in range(prefix[-1], m):
                         assert bool(kept >> t & 1) == brute_orbit_least(maps, prefix + (t,)), \
                             (prefix, t)
+
+    @pytest.mark.parametrize("factors", [[3, 3, 3], [7, 7], [9, 9], [12]], ids=str)
+    def test_lanes_match_the_per_map_scan(self, factors):
+        # Every orbit-least prefix of 1 to 3 terms reachable from the orbit
+        # minima through the scan's children: the byte-lane masks equal the
+        # scan's on every decided bit, and leave the bits below Q[-1] clear.
+        G = make_group(factors)
+        maps, m = table_maps(G), G.order
+        level = [(t,) for t in range(m) if orbit_minima(G) >> t & 1]
+        for depth in (1, 2, 3):
+            children = []
+            for prefix in level:
+                scan = scan_children(maps, m, prefix)
+                assert _orderly_children(G, prefix) == scan & ~((1 << prefix[-1]) - 1), prefix
+                children += [prefix + (t,) for t in range(prefix[-1], m) if scan >> t & 1]
+            level = children
 
     @pytest.mark.parametrize("factors", [[2, 2], [3, 3], [2, 2, 2], [6]], ids=str)
     def test_prefixes_of_orbit_least_are_orbit_least(self, factors):
@@ -651,6 +715,7 @@ class TestOrderly:
         # (serial, split at depth 2) node counts.
         ([6, 6], LengthSet.all_positive(), 324_684, (21_854, 27_170)),
         ([5, 5], LengthSet.up_to(5), 29_176, (4_967, 5_022)),
+        ([3, 3, 3], LengthSet.up_to(4), 45_812, (1_613, 1_620)),
     ], ids=str)
     def test_pinned_counts(self, factors, L, roots_nodes, nodes):
         # The split counts do not depend on the worker count.
@@ -827,15 +892,49 @@ class TestNoHorizon:
             SearchConfig(horizon=5)
 
 
+class TestMaskHandOff:
+    """A pool starts with the parent's orderly masks for its group and sends
+    back the ones its workers compute, so only the first partitioned search
+    on a group computes masks in workers, under fork and under spawn."""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_second_pool_computes_no_mask(self, monkeypatch, method):
+        G = make_group([6, 6])
+        context = multiprocessing.get_context(method)
+        futures = []
+
+        class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, mp_context=context, **kwargs)
+
+            def submit(self, *args):
+                futures.append(super().submit(*args))
+                return futures[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setitem(search._masks, G, {})
+        added, results = [], []
+        for _ in range(2):
+            futures.clear()
+            results.append(davenport(G, SearchConfig(workers=2)))
+            # Each subtask returns its outcome and the masks it computed.
+            added.append(sum(len(future.result()[1]) for future in futures))
+        assert added[0] > 0 and added[1] == 0
+        for result in results:
+            assert (result.value, result.witness, result.stats.nodes) == \
+                (11, results[0].witness, 27_170)
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replaces ProcessPoolExecutor by a stand-in that runs each task in
-    this process, so no pool is ever started; returns the list of pool
-    sizes the search asked for."""
+    """Replaces ProcessPoolExecutor, which the search imports from
+    concurrent.futures when it starts a pool, by a stand-in that runs each
+    task in this process, so no pool is ever started; returns the list of
+    pool sizes the search asked for."""
     sizes = []
 
     class InlineExecutor:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
 
         def submit(self, fn, *args):
@@ -846,33 +945,34 @@ def pool_sizes(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     return sizes
 
 
 class TestPoolSize:
-    C333 = make_group([3, 3, 3])
+    G = make_group([2, 2, 6])  # s_<=6: 63 subtasks at depth 2, 25,757 nodes
 
     @pytest.mark.parametrize("workers,cpus", [(100_000, 3), (2, 64), (100_000, 10**6)])
     def test_at_most_workers_subtasks_and_cpus(self, pool_sizes, monkeypatch, workers, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
-        L = LengthSet.up_to(4)
-        subtasks = len(_dfs(self.C333, L, 10**6, None, "roots", (), 2, collect=True).found)
-        result = s_L(self.C333, L, SearchConfig(workers=workers))
+        L = LengthSet.up_to(6)
+        subtasks = len(_dfs(self.G, L, 10**6, None, "roots", (), 2, collect=True).found)
+        assert subtasks == 63
+        result = s_L(self.G, L, SearchConfig(workers=workers))
         assert pool_sizes == [min(workers, subtasks, cpus)]
-        assert (result.value, result.stats.nodes) == (10, 46_200)
+        assert (result.value, result.stats.nodes) == (10, 25_757)
 
     def test_cpu_count_without_affinity(self, pool_sizes, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        s_leq(self.C333, 4, SearchConfig(workers=100_000))
+        s_leq(self.G, 6, SearchConfig(workers=100_000))
         assert pool_sizes == [5]
 
     def test_one_usable_cpu_runs_serially(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        result = s_leq(self.C333, 4, SearchConfig(workers=4))
+        result = s_leq(self.G, 6, SearchConfig(workers=4))
         assert pool_sizes == []
-        assert (result.value, result.stats.nodes) == (10, 46_200)
+        assert (result.value, result.stats.nodes) == (10, 25_757)
 
 
 class TestSequenceFromIndices:
