@@ -16,7 +16,14 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 from .errors import InvalidInputError, InvalidParamsError
-from .groups import GroupSpec, automorphism_images, d_star, make_group
+from .groups import (
+    GroupSpec,
+    automorphism_images,
+    automorphism_permutations,
+    d_star,
+    group_table,
+    make_group,
+)
 from .sequences import Sequence, min_zero_sum_length, sigma
 
 
@@ -174,7 +181,10 @@ def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
 
     For k = 0 the membership rule is: appending the negated sum must land in
     the k = 1 family.  The scan over automorphisms makes the result basis
-    independent by construction.
+    independent by construction.  Images are compared with the members as
+    sorted element indices: where C_n^2 has a permutation table
+    (``groups.permutation_table_fits``) each map's image is read from its
+    columns, elsewhere from the coordinates ``automorphism_images`` gives.
     """
     G = make_group([n, n])
     if S.group != G:
@@ -186,16 +196,24 @@ def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
     if k == 0:
         # phi(S) (-sigma(phi(S))) = phi(S (-sigma(S))), so extend S once.
         S, k = S.with_term(-sigma(S)), 1
-    members = _member_coords(n, k)
+    members = _member_indices(n, k)
+    index = group_table(G).index
     terms = [g.coords for g in S.expand()]
-    return any(tuple(sorted(image)) in members for image in automorphism_images(G, terms))
+    columns = automorphism_permutations(G)
+    if columns is None:
+        images = (map(index.__getitem__, image) for image in automorphism_images(G, terms))
+    else:
+        images = zip(*(columns[index[c]] for c in terms))
+    return any(tuple(sorted(image)) in members for image in images)
 
 
 @lru_cache(maxsize=64)
-def _member_coords(n: int, k: int) -> frozenset[tuple[tuple[int, ...], ...]]:
-    """The term coordinates of every (n, k) family member, for k >= 1."""
+def _member_indices(n: int, k: int) -> frozenset[tuple[int, ...]]:
+    """The sorted element indices, in ``group_table`` order, of the terms
+    of every (n, k) family member, for k >= 1."""
+    index = group_table(make_group([n, n])).index
     return frozenset(
-        tuple(g.coords for g in m.expand()) for m in inverse_family_members(n, k)
+        tuple(index[g.coords] for g in m.expand()) for m in inverse_family_members(n, k)
     )
 
 

@@ -13,10 +13,6 @@ class GroupMismatchError(ZeroSumError, ValueError):
     """Operands belong to different groups."""
 
 
-class UnsupportedGroupError(ZeroSumError, ValueError):
-    """The operation is only defined for a restricted class of groups."""
-
-
 class InvalidParamsError(ZeroSumError, ValueError):
     """Construction parameters violate the required hypotheses."""
 

@@ -5,15 +5,16 @@ A group is represented by its invariant factors (n_1 | n_2 | ... | n_r, all
 prime-power decomposition.  Elements are immutable coordinate tuples with
 componentwise arithmetic.  The module also provides the structural constants
 used throughout the package (exponent, order, the combinatorial lower bound
-``d_star``), the automorphisms of homocyclic groups C_n^r, listed as the
-invertible matrices over Z_n that are their only form in the package, and
-the Aut(G)-orbit minima of any G, read from height (Ulm) sequences.
-``automorphism_images`` is the one place a matrix is applied to
-coordinates; orbit canonicalisation and the inverse-structure matcher read
-its images map by map, and the search's cached column-major table of
-element indices (``automorphism_permutations``, on homocyclic groups with
-|G| <= 256 and |Aut(G)| <= 2^14, such as C_3^3 and C_n^2 for n <= 12) reads
-its byte lanes.
+``d_star``), the automorphisms of every G = C_n1 + ... + C_nr, listed by
+``enumerate_automorphisms`` as the integer matrices that are their only
+form in the package and counted in closed form, and the Aut(G)-orbit minima
+of any G, read from height (Ulm) sequences.  ``automorphism_images`` is the
+one place a matrix is applied to coordinates.  The cached column-major
+table of element indices (``automorphism_permutations``, for every G with
+|G| <= 256 and |Aut(G)| <= 2^14, such as C_3^3, C_3 x C_9 and C_n^2 for
+n <= 12) is built from its byte lanes; the search's orderly check, orbit
+canonicalisation and the inverse-structure matcher read that table, and
+the latter two read the images map by map on groups too large for it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     InvalidFactorError,
     InvalidInputError,
     ResourceLimitError,
-    UnsupportedGroupError,
 )
 
 # Groups larger than this are refused by the enumerators so that downstream
@@ -274,112 +274,159 @@ def enumerate_elements(G: GroupSpec):
 
 
 def enumerate_automorphisms(G: GroupSpec):
-    """Every automorphism of a homocyclic group G = C_n^r, as its invertible
-    r x r matrix over Z_n: a tuple of row tuples, acting by
-    phi(a)_i = sum_j M[i][j] a_j.  Matrices come in row-major
-    lexicographic order over their entries; the identity is among them.
+    """Every automorphism of G = C_n1 + ... + C_nr as an r x r matrix M: a
+    tuple of row tuples with M[i][j] in Z_ni and n_j * M[i][j] = 0 mod n_i,
+    acting by phi(a)_i = sum_j M[i][j] a_j mod n_i.  Matrices come in
+    row-major lexicographic order over their entries; the identity is among
+    them.  On C_n^r they are the invertible matrices over Z_n.
 
-    A matrix is invertible over Z_n iff its rows are linearly independent
-    mod every prime p | n.  Rows are chosen top to bottom in lexicographic
-    order, each kept only if, for every p, it lies outside the F_p-span of
-    the rows above it, so exactly the invertible matrices are visited.
-    Raises when called, before an iterator is returned, for a group that
-    is not homocyclic (UnsupportedGroupError) or has more than
-    ENUMERATION_CAP automorphisms (ResourceLimitError).
+    Such an M is an endomorphism of G.  It is an automorphism iff, for every
+    prime p | |G|, the square block of rows and columns with p | n_i is
+    invertible over F_p: that block mod p is the map M induces on
+    G_p / pG_p, and an endomorphism of the p-component G_p is onto iff that
+    map is (Hillar and Rhea, Amer. Math. Monthly 114 (2007)).  Rows are
+    chosen top to bottom in lexicographic order, each kept only if, for
+    every p whose block holds it, its block part mod p lies outside the
+    F_p-span of the block rows above it, so exactly the automorphisms are
+    visited.  Raises ResourceLimitError when called, before an iterator is
+    returned, for a G with more than ENUMERATION_CAP automorphisms.
     """
-    if not G.is_homocyclic():
-        raise UnsupportedGroupError("automorphisms implemented for homocyclic groups only")
-    n, r = G.exponent, G.rank
-    primes = tuple(factorize(n))
+    r = G.rank
     count = _automorphism_count(G)
     if count > ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"|GL_{r}(Z/{n})| = {count} automorphisms exceed the enumeration cap"
+            f"|Aut({G})| = {count} automorphisms exceed the enumeration cap"
         )
-    rows = tuple(itertools.product(range(n), repeat=r))
-    # Per row, its reduction mod each prime, aligned with ``primes``.
-    reduced = tuple(tuple(tuple(c % p for c in row) for p in primes) for row in rows)
+    if not r:
+        return iter(((),))
+    rows = [tuple(itertools.product(*entries)) for entries in _row_entries(G.factors)]
+    # Per prime p: (p, the first row and column of its block).
+    blocks = [(p, next(i for i, n in enumerate(G.factors) if n % p == 0))
+              for p in factorize(G.order)]
+    # Per position i: the blocks that hold row i, and per candidate row its
+    # block parts mod their primes.
+    live = [[k for k, (_, s) in enumerate(blocks) if s <= i] for i in range(r)]
+    reduced = [[tuple(tuple(c % blocks[k][0] for c in row[blocks[k][1]:]) for k in live[i])
+                for row in rows[i]]
+               for i in range(r)]
 
     def extend(prefix, spans):
-        # The rows outside the span of the prefix mod every prime, in order.
-        free = [(row, mods) for row, mods in zip(rows, reduced)
-                if not any(map(set.__contains__, spans, mods))]
-        if len(prefix) == r - 1:
+        # The rows outside the span of the prefix in every block that holds them.
+        i = len(prefix)
+        held = [spans[k] for k in live[i]]
+        free = [(row, mods) for row, mods in zip(rows[i], reduced[i])
+                if not any(map(set.__contains__, held, mods))]
+        if i == r - 1:
             yield from map(prefix.__add__, ((row,) for row, _ in free))
             return
         for row, mods in free:
-            grown = []
-            for v, span, p in zip(mods, spans, primes):
+            grown = list(spans)
+            for k, v in zip(live[i], mods):
+                p = blocks[k][0]
                 # span + a*v for a = 0, ..., p-1, one translate by v at a time.
-                out, shifted = set(span), span
+                out, shifted = set(spans[k]), spans[k]
                 for _ in range(p - 1):
                     shifted = {tuple([(x + y) % p for x, y in zip(v, s)]) for s in shifted}
                     out |= shifted
-                grown.append(out)
+                grown[k] = out
             yield from extend(prefix + (row,), grown)
 
-    return extend((), tuple({(0,) * r} for _ in primes))
+    return extend((), [{(0,) * (r - s)} for _, s in blocks])
+
+
+@lru_cache(maxsize=None)
+def _row_entries(factors: tuple[int, ...]) -> tuple[tuple[range, ...], ...]:
+    """Per position (i, j), the values M[i][j] takes in a matrix of
+    ``enumerate_automorphisms``: the multiples of n_i / gcd(n_i, n_j) below
+    n_i.  Their product over j, in lexicographic order, is the candidate
+    rows of position i, prod_j gcd(n_i, n_j) <= |G| of them."""
+    return tuple(tuple(range(0, n, n // math.gcd(n, m)) for m in factors) for n in factors)
 
 
 def _automorphism_count(G: GroupSpec) -> int:
-    """|Aut(C_n^r)| = |GL_r(Z/n)| = n^(r^2) * prod_{p | n} prod_{i=1..r} (1 - p^(-i))."""
-    n, r = G.exponent, G.rank
-    count = n ** (r * r)
-    for p in factorize(n):
-        for i in range(1, r + 1):
-            count = count // p**i * (p**i - 1)
+    """|Aut(G)|, the product over p | |G| of |Aut(G_p)|, in closed form.
+
+    For G_p = C_p^e_1 + ... + C_p^e_m with 1 <= e_1 <= ... <= e_m, let
+    d_k = max{l : e_l = e_k} and c_k = min{l : e_l = e_k}; then |Aut(G_p)| =
+    prod_k (p^d_k - p^(k-1)) * prod_k p^(e_k (m - d_k)) * prod_k p^((e_k - 1)(m - c_k + 1))
+    (Hillar and Rhea, Theorem 4.1).  On C_n^r this is |GL_r(Z/n)|.
+    """
+    count = 1
+    for p in factorize(G.order):
+        e = [v for v in (factorize(n).get(p, 0) for n in G.factors) if v]
+        m = len(e)
+        for k, ek in enumerate(e):
+            d = m - e[::-1].index(ek)
+            c = e.index(ek) + 1
+            count *= (p**d - p**k) * p ** (ek * (m - d) + (ek - 1) * (m - c + 1))
     return count
 
 
+# Maps per block of the byte-lane form of ``automorphism_images``.
+_LANE_BLOCK = 512
+
+
 def automorphism_images(G: GroupSpec, coords, lanes: bool = False):
-    """For each automorphism phi of a homocyclic G, in
-    ``enumerate_automorphisms`` order, the list of the images phi(a) of the
-    coordinate tuples a in ``coords``, in input order.
+    """For each automorphism phi of G, in ``enumerate_automorphisms`` order,
+    the list of the images phi(a) of the coordinate tuples a in ``coords``,
+    in input order.
 
     This is the one place the package applies a matrix to coordinates:
     row i of M maps a to coordinate i of phi(a), so each image is assembled
-    from r dot products of a matrix row with an input, computed the first
-    time that row is met and kept for later maps.
+    from r dot products of a matrix row with an input, mod n_i, computed
+    the first time that row is met and kept for later maps.
 
-    With ``lanes``, the images come transposed as byte lanes: a list with,
-    per input a, a tuple of r ``bytes`` whose k-th byte is coordinate i of
-    phi_k(a), for the k-th automorphism phi_k.  Each matrix row is then one
-    byte, its index among the n^r rows, and lane i of a is row i of every
-    matrix translated through the table of dot products with a, so no
-    Python object is made per map and input.  That needs n^r <= 256, which
-    a group of at most 256 elements meets.  Refuses when called, as the
+    With ``lanes``, the images come transposed as byte lanes, for blocks of
+    at most ``_LANE_BLOCK`` consecutive maps: per block, a list with, per
+    input a, a tuple of r ``bytes`` whose k-th byte is coordinate i of
+    phi_k(a), for the k-th map phi_k of the block.  Each matrix row is then
+    one byte, its index among the candidate rows of its position
+    (``_row_entries``), and lane i of a is row i of every matrix
+    translated through the table of dot products with a, so no Python
+    object is made per map and input, and only one block of matrices is
+    held at a time.  That needs |G| <= 256.  Refuses when called, as the
     lister does.
     """
-    matrices = enumerate_automorphisms(G)  # refuses an unsupported G first
-    n, r = G.exponent, G.rank
+    matrices = enumerate_automorphisms(G)  # refuses G over the cap first
+    factors = G.factors
     coords = tuple(coords)
     if lanes:
-        if n**r > 256:
-            raise ResourceLimitError(f"byte lanes need at most 256 elements, not {n**r}")
-        rows = list(itertools.product(range(n), repeat=r))
-        row_id = {row: i for i, row in enumerate(rows)}.__getitem__
-        # ids[i][k]: the index of row i of the k-th matrix.
-        ids = [bytes(map(row_id, column)) for column in zip(*matrices)]
-        out = []
+        if G.order > 256:
+            raise ResourceLimitError(f"byte lanes need at most 256 elements, not {G.order}")
+        entries = _row_entries(factors)
+        row_ids = [{row: k for k, row in enumerate(itertools.product(*values))}.__getitem__
+                   for values in entries]
+        # dots[a][i][k]: the k-th candidate row of position i dotted with a,
+        # mod n_i, built one coordinate at a time in the rows' product order.
+        dots = []
         for a in coords:
-            # dot[i] = rows[i] . a mod n, built one coordinate at a time in
-            # the rows' product order.
-            dot = [0]
-            for x in a:
-                dot = [(d + c * x) % n for d in dot for c in range(n)]
-            dot = bytes(dot) + bytes(256 - len(dot))
-            out.append(tuple(lane.translate(dot) for lane in ids))
-        return out
+            tables = []
+            for n, values in zip(factors, entries):
+                dot = [0]
+                for x, column in zip(a, values):
+                    dot = [(d + c * x) % n for d in dot for c in column]
+                tables.append(bytes(dot) + bytes(256 - len(dot)))
+            dots.append(tables)
+
+        def blocks():
+            while block := list(itertools.islice(matrices, _LANE_BLOCK)):
+                # ids[i][k]: the index of row i of the k-th matrix of the block.
+                ids = [bytes(map(row_id, column)) for row_id, column in zip(row_ids, zip(*block))]
+                yield [tuple(lane.translate(dot) for lane, dot in zip(ids, tables))
+                       for tables in dots]
+
+        return blocks()
 
     def images():
-        dots = {}
+        dots = {n: {} for n in factors}
         for M in matrices:
             columns = []
-            for row in M:
-                column = dots.get(row)
+            for row, n in zip(M, factors):
+                known = dots[n]
+                column = known.get(row)
                 if column is None:
-                    column = dots[row] = tuple(sum(m * x for m, x in zip(row, a)) % n
-                                               for a in coords)
+                    column = known[row] = tuple(sum(m * x for m, x in zip(row, a)) % n
+                                                for a in coords)
                 columns.append(column)
             yield list(zip(*columns))
 
@@ -387,10 +434,11 @@ def automorphism_images(G: GroupSpec, coords, lanes: bool = False):
 
 
 def permutation_table_fits(G: GroupSpec) -> bool:
-    """Whether G has an ``automorphism_permutations`` table: homocyclic,
-    at most 256 elements (one byte per entry) and at most
-    PERMUTATION_TABLE_CAP automorphisms.  Lists no automorphism."""
-    return (G.is_homocyclic() and G.order <= 256
+    """Whether G has an ``automorphism_permutations`` table: nontrivial, at
+    most 256 elements (one byte per entry) and at most
+    PERMUTATION_TABLE_CAP automorphisms, by the closed-form count.  Lists no
+    automorphism."""
+    return (G.rank >= 1 and G.order <= 256
             and _automorphism_count(G) <= PERMUTATION_TABLE_CAP)
 
 
@@ -401,21 +449,23 @@ def automorphism_permutations(G: GroupSpec) -> tuple[bytes, ...] | None:
     k-th automorphism in ``enumerate_automorphisms`` order.  None unless
     ``permutation_table_fits(G)``.
 
-    It is built from the byte lanes of ``automorphism_images``: the index
-    of a coordinate tuple c is sum_i c_i * n^(r-1-i), so weighting lane i by
-    n^(r-1-i) and adding the lanes as big ints gives every index at once.
-    No lane carries into the next byte, since each sum is below n^r <= 256.
+    It is built block by block from the byte lanes of
+    ``automorphism_images``: the index of a coordinate tuple c is
+    sum_i c_i * w_i with w_i = n_(i+1) * ... * n_r, so weighting lane i by
+    w_i and adding the lanes as big ints gives a block's indices at once.
+    No lane carries into the next byte, since each sum is below |G| <= 256.
     """
     if not permutation_table_fits(G):
         return None
-    n, r = G.exponent, G.rank
-    count = _automorphism_count(G)
-    columns = []
-    for lanes in automorphism_images(G, group_table(G).elements, lanes=True):
-        index = 0
-        for i, lane in enumerate(lanes):
-            index += n ** (r - 1 - i) * int.from_bytes(lane, "little")
-        columns.append(index.to_bytes(count, "little"))
+    weights = [math.prod(G.factors[i + 1:]) for i in range(G.rank)]
+    columns = [bytearray() for _ in range(G.order)]
+    for block in automorphism_images(G, group_table(G).elements, lanes=True):
+        size = len(block[0][0])
+        for column, lanes in zip(columns, block):
+            index = sum(w * int.from_bytes(lane, "little") for w, lane in zip(weights, lanes))
+            column += index.to_bytes(size, "little")
+    for x, column in enumerate(columns):
+        columns[x] = bytes(column)  # frees each bytearray as it is copied
     return tuple(columns)
 
 

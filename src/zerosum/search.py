@@ -51,9 +51,10 @@ unrestricted search.  This is the first level of orderly generation (R. C.
 Read, Ann. Discrete Math. 2 (1978); B. D. McKay, J. Algorithms 26 (1998)).
 
 On groups whose automorphisms fit a permutation table
-(``groups.automorphism_permutations``: homocyclic, |G| <= 256 and
-|Aut(G)| <= 2^14, so C_n^2 for n <= 12 and n = 14, C_2^3, C_3^3, and C_n
-for n <= 256), the search is orderly to depth 4: a node of 1 to 3 terms
+(``groups.automorphism_permutations``: |G| <= 256 and |Aut(G)| <= 2^14,
+decided from the closed-form count; 20 of the 23 groups of rank >= 2 and
+order <= 32, all but C_2^4, C_2^3 x C_4 and C_2^5, and C_n for
+2 <= n <= 256), the search is orderly to depth 4: a node of 1 to 3 terms
 keeps a child t only if its sorted prefix Q.t is least among its sorted
 images under Aut(G).  Every prefix P of the least longest sequence W is
 least in its orbit: were sorted phi(P) below P, adding the rest of W could
@@ -146,13 +147,14 @@ class SearchConfig:
     machines; results are deterministic when the search finishes or stops on
     the node budget.  Every search restricts the first term to Aut(G)-orbit
     minima, or to 0 when exp(G) divides every member of L (translation),
-    and on groups with a small permutation table (homocyclic, |G| <= 256,
-    |Aut(G)| <= 2^14: C_3^3 and C_n^2 for n <= 12 among them) checks every
-    prefix of up to 4 terms for orbit-leastness (orderly generation); all
-    keep the value and the witness.  ``symmetry_reduction`` replaces the
-    orbit minima and orderly generation by the flag trick on homocyclic
-    groups of prime exponent (same value, possibly another witness;
-    translation still applies) and changes nothing on other groups.  A
+    and on groups with a small permutation table (|G| <= 256,
+    |Aut(G)| <= 2^14: C_3^3, C_3 x C_9 and C_n^2 for n <= 12 among them)
+    checks every prefix of up to 4 terms for orbit-leastness (orderly
+    generation); all keep the value and the witness.
+    ``symmetry_reduction`` replaces the orbit minima and orderly
+    generation by the flag trick on homocyclic groups of prime exponent
+    (same value, possibly another witness; translation still applies) and
+    changes nothing on other groups.  A
     positive ``parallel_depth`` splits the tree into subtasks at that depth;
     ``workers`` > 1 runs them in a process pool of at most that many
     processes (and no more than the subtasks or the usable CPUs) and, with
@@ -789,8 +791,9 @@ def enumerate_extremal(G: GroupSpec, L: LengthSet, length: int,
     if length < 0:
         raise InvalidInputError("length must be >= 0")
     if up_to_automorphism:
-        # Refuses an unsupported G before the search.  next() runs the lister
-        # even when it is wrapped in a generator function.
+        # Refuses G with more automorphisms than the lister's cap before the
+        # search.  next() runs the lister even when it is wrapped in a
+        # generator function.
         next(enumerate_automorphisms(G))
     cfg = cfg or SearchConfig()
     outcome = _dfs(G, L, cfg.node_budget, _deadline(cfg), "roots" if up_to_automorphism else None,

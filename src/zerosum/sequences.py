@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import GroupMismatchError, InvalidInputError, ResourceLimitError
-from .groups import GroupElement, GroupSpec, automorphism_images, group_table
+from .groups import (
+    GroupElement,
+    GroupSpec,
+    automorphism_images,
+    automorphism_permutations,
+    group_table,
+)
 
 # Cap on |G| * (|S|+1) feasibility/counting table cells.
 TABLE_CELL_CAP = 2**26
@@ -306,12 +312,22 @@ def subsequence_count_table(S: Sequence, mod: int | None = None, max_len: int | 
 
 
 def orbit_canonical(S: Sequence) -> Sequence:
-    """Lexicographically least image of S under the automorphism group
-    (homocyclic groups only; small orders).
+    """Lexicographically least image of S under Aut(G).
 
     Images are compared as their sorted term coordinates, which orders
-    them as the element-index sequences of ``group_table`` do.
+    them as the element-index sequences of ``group_table`` do.  Where G has
+    a permutation table (``groups.permutation_table_fits``), each map's
+    image is read from the table's columns as element indices; elsewhere
+    ``automorphism_images`` applies the matrices to the coordinates, and
+    refuses G over the lister's cap.
     """
-    terms = [g.coords for g in S.expand()]
-    best = min(sorted(image) for image in automorphism_images(S.group, terms))
-    return Sequence.from_elements(S.group, (GroupElement(S.group, c) for c in best))
+    G = S.group
+    columns = automorphism_permutations(G)
+    if columns is None:
+        terms = [g.coords for g in S.expand()]
+        best = min(sorted(image) for image in automorphism_images(G, terms))
+        return Sequence.from_elements(G, (GroupElement(G, c) for c in best))
+    table = group_table(G)
+    indices = [table.index[g.coords] for g in S.expand()]
+    best = min((sorted(image) for image in zip(*(columns[x] for x in indices))), default=[])
+    return Sequence.from_elements(G, map(table.element, best))

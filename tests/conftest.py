@@ -9,6 +9,7 @@ meaningful cross-validation rather than a tautology.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -73,6 +74,40 @@ def apply_matrix(M, n, coords):
     """The image of a coordinate tuple under the matrix M over Z_n:
     coordinate i is sum_j M[i][j] * coords[j] mod n."""
     return tuple(sum(m * c for m, c in zip(row, coords)) % n for row in M)
+
+
+def apply_chain_matrix(M, factors, coords):
+    """The image of a coordinate tuple under the matrix M of an automorphism
+    of C_n1 + ... + C_nr: coordinate i is sum_j M[i][j] * coords[j] mod n_i."""
+    return tuple(sum(m * c for m, c in zip(row, coords)) % n for row, n in zip(M, factors))
+
+
+def brute_automorphism_maps(factors):
+    """Every automorphism of C_n1 + ... + C_nr, as the tuple of the element
+    indices (in ``all_elements`` order) of its images, found as generator
+    images b_i with ord(b_i) | n_i that give a bijection; no matrix is
+    involved.  A choice of b_k with a * b_k in the span of b_1..b_(k-1) for
+    some 0 < a < n_k is dropped at once: the map is then not injective on
+    C_n1 + ... + C_nk, so no extension is a bijection."""
+    elements = all_elements(factors)
+    index = {c: i for i, c in enumerate(elements)}
+    zero = elements[0]
+
+    def combine(s, a, b):
+        return tuple((x + a * y) % n for x, y, n in zip(s, b, factors))
+
+    orders = [math.lcm(*(n // math.gcd(x, n) for x, n in zip(c, factors))) for c in elements]
+
+    def extend(k, images):  # images of C_n1 + ... + C_nk, in element order
+        if k == len(factors):
+            yield tuple(index[c] for c in images)
+            return
+        n, span = factors[k], set(images)
+        for b, ord_b in zip(elements, orders):
+            if n % ord_b == 0 and all(combine(zero, a, b) not in span for a in range(1, n)):
+                yield from extend(k + 1, [combine(s, a, b) for s in images for a in range(n)])
+
+    return extend(0, [zero])
 
 
 def matrix_image(M, S):

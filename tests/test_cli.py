@@ -69,15 +69,19 @@ class TestInvariant:
         assert egz["value"] == 9
 
     @pytest.mark.parametrize("args,symmetry", [
-        # C3^2 and C3^3 have a permutation table: orderly generation.
+        # C3^2, C3^3 and C2xC4 have a permutation table: orderly generation.
         (("C3^3", "--leq", "4"), "orderly"),
         (("C3^3", "--leq", "4", "--symmetry"), "flag"),
         (("C3^2", "--davenport"), "orderly"),
-        # C2xC4 is not homocyclic: orbit-minimum roots.
-        (("C2xC4", "--davenport"), "roots"),
-        # exp(G) divides every member of L: the search is rooted at 0.
+        (("C2xC4", "--davenport"), "orderly"),
+        # |Aut(C2^3xC4)| = 21,504 is over the table cap: orbit-minimum roots.
+        (("C2^3xC4", "--davenport"), "roots"),
+        # exp(G) divides every member of L: the search is rooted at 0.  C2^4
+        # (20,160 automorphisms) has no table either; its EGZ search takes
+        # 122 nodes, against 6.9M on C2^3xC4.
         (("C3^2", "--egz"), "orderly+translation"),
-        (("C2xC4", "--egz"), "translation"),
+        (("C2xC4", "--egz"), "orderly+translation"),
+        (("C2^4", "--egz"), "translation"),
         (("C3^2", "--L", "3,6", "--symmetry"), "flag+translation"),
         # Certified infinite: no multiple of exp = 6 in L, so no search.
         (("C6", "--exactly", "4"), "none"),

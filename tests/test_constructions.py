@@ -243,6 +243,29 @@ class TestMatcherAgainstImageScan:
                     outcomes.add(expected)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_table_agrees_with_coordinate_path(self, monkeypatch, n):
+        # For every k: a member's image under a random automorphism, which
+        # matches, and that image with one term replaced by the negative of
+        # another, which has a zero-sum of length <= 2 and does not.  The
+        # permutation table and the coordinate path give the same answers.
+        G = make_group([n, n])
+        autos = brute_invertible_matrices(n, 2)
+        rng = random.Random(50 + n)
+        cases = []
+        for k in range(n):
+            image = list(matrix_image(rng.choice(autos), rng.choice(
+                inverse_family_members(n, k))).expand())
+            i, j = rng.sample(range(len(image)), 2)
+            other = image[:i] + [-image[j]] + image[i + 1:]
+            cases += [(Sequence.from_elements(G, image), k, True),
+                      (Sequence.from_elements(G, other), k, False)]
+        assert [match_inverse_structure(S, n, k) for S, k, _ in cases] == \
+            [expected for _, _, expected in cases]
+        monkeypatch.setattr(constructions, "automorphism_permutations", lambda G: None)
+        assert [match_inverse_structure(S, n, k) for S, k, _ in cases] == \
+            [expected for _, _, expected in cases]
+
 
 class TestVerificationReport:
     def test_failure_paths(self):

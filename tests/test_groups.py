@@ -11,7 +11,6 @@ from zerosum import (
     InvalidFactorError,
     InvalidInputError,
     ResourceLimitError,
-    UnsupportedGroupError,
     d_equals_dstar_known,
     d_star,
     enumerate_automorphisms,
@@ -19,7 +18,9 @@ from zerosum import (
     make_group,
     parse_group,
 )
+from zerosum import groups
 from zerosum.groups import (
+    _automorphism_count,
     automorphism_images,
     automorphism_permutations,
     factorize,
@@ -29,7 +30,14 @@ from zerosum.groups import (
     permutation_table_fits,
 )
 
-from conftest import all_elements, apply_matrix, brute_invertible_matrices, factor_chains
+from conftest import (
+    all_elements,
+    apply_chain_matrix,
+    apply_matrix,
+    brute_automorphism_maps,
+    brute_invertible_matrices,
+    factor_chains,
+)
 
 
 class TestConstruction:
@@ -233,21 +241,50 @@ class TestAutomorphisms:
             for M in enumerate_automorphisms(G)
         )
 
-    def test_non_homocyclic_unsupported(self):
-        with pytest.raises(UnsupportedGroupError):
-            list(enumerate_automorphisms(make_group([2, 4])))
+    def test_non_homocyclic_over_cap_refused(self):
+        # C5 + C5 + C10 has |GL_3(F_5)| * |Aut(C2)| = 1,488,000 automorphisms.
+        with pytest.raises(ResourceLimitError, match="1488000"):
+            list(enumerate_automorphisms(make_group([5, 5, 10])))
 
     def test_refuses_at_call(self):
-        # Both refusals come from the call itself, before any next(), for
-        # the lister and for the image helper that reads it.
-        with pytest.raises(ResourceLimitError):
-            enumerate_automorphisms(make_group([5, 5, 5]))
-        with pytest.raises(UnsupportedGroupError):
-            enumerate_automorphisms(make_group([2, 4]))
-        with pytest.raises(ResourceLimitError):
-            automorphism_images(make_group([5, 5, 5]), [(1, 0, 0)])
-        with pytest.raises(UnsupportedGroupError):
-            automorphism_images(make_group([2, 4]), [(1, 0)])
+        # The refusals come from the call itself, before any next(), for
+        # the lister and for the image helper that reads it, in both forms.
+        for factors in ([5, 5, 5], [5, 5, 10]):
+            G = make_group(factors)
+            with pytest.raises(ResourceLimitError):
+                enumerate_automorphisms(G)
+            with pytest.raises(ResourceLimitError):
+                automorphism_images(G, [(1, 0, 0)])
+            with pytest.raises(ResourceLimitError):
+                automorphism_images(G, [(1, 0, 0)], lanes=True)
+
+    def test_trivial_group_has_the_empty_matrix(self):
+        assert list(enumerate_automorphisms(GroupSpec(()))) == [()]
+
+    @pytest.mark.parametrize("factors", [f for f in factor_chains(24) if len(f) > 1], ids=str)
+    def test_matches_generator_images(self, factors):
+        # The same set of maps as every bijective choice of generator
+        # images, each listed once, in row-major order of the matrices.
+        G = make_group(list(factors))
+        table = group_table(G)
+        got = list(enumerate_automorphisms(G))
+        assert got == sorted(got)
+        maps = [tuple(table.index[apply_chain_matrix(M, factors, a)] for a in table.elements)
+                for M in got]
+        assert len(set(maps)) == len(maps)
+        assert set(maps) == set(brute_automorphism_maps(factors))
+
+    @pytest.mark.parametrize("factors", [f for f in factor_chains(32) if len(f) > 1], ids=str)
+    def test_count_is_closed_form(self, factors):
+        # |Aut(G)| by Hillar and Rhea, without listing a map, against the
+        # generator-image count; on C_p^r (C2^5 has 9,999,360 maps) against
+        # the order of GL_r(F_p) instead.
+        G = make_group(list(factors))
+        if factors in FIELD_CHAINS:
+            expected = gl_order(factors[0], len(factors))
+        else:
+            expected = sum(1 for _ in brute_automorphism_maps(factors))
+        assert _automorphism_count(G) == expected
 
     @pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (2, 3), (6, 1)])
     def test_images_are_the_matrix_action(self, n, r):
@@ -260,9 +297,30 @@ class TestAutomorphisms:
             [apply_matrix(M, n, a) for a in coords] for M in matrices
         ]
         assert list(automorphism_images(G, [])) == [[] for _ in matrices]
-        # Byte lanes: per input, coordinate i of its image under every map.
-        assert automorphism_images(G, coords, lanes=True) == [
+        # Byte lanes: per input, coordinate i of its image under every map,
+        # all in one block here.
+        assert list(automorphism_images(G, coords, lanes=True)) == [[
             tuple(bytes(apply_matrix(M, n, a)[i] for M in matrices) for i in range(r))
+            for a in coords
+        ]]
+
+    @pytest.mark.parametrize("factors", [(2, 4), (3, 9), (2, 2, 6)], ids=str)
+    def test_chain_images_are_the_matrix_action(self, monkeypatch, factors):
+        # Row i of M acts mod n_i.  Lanes come in blocks of maps, here of
+        # 64, so C2^2xC6 (336 maps) spans six; joined, they are the images.
+        monkeypatch.setattr(groups, "_LANE_BLOCK", 64)
+        G = make_group(list(factors))
+        coords = [(1,) * G.rank, tuple(n - 1 for n in factors), (1,) * G.rank, (0,) * G.rank]
+        matrices = list(enumerate_automorphisms(G))
+        assert list(automorphism_images(G, coords)) == [
+            [apply_chain_matrix(M, factors, a) for a in coords] for M in matrices
+        ]
+        blocks = list(automorphism_images(G, coords, lanes=True))
+        assert [len(block[0][0]) for block in blocks[:-1]] == [64] * (len(blocks) - 1)
+        assert [tuple(b"".join(block[x][i] for block in blocks) for i in range(G.rank))
+                for x in range(len(coords))] == [
+            tuple(bytes(apply_chain_matrix(M, factors, a)[i] for M in matrices)
+                  for i in range(G.rank))
             for a in coords
         ]
 
@@ -299,41 +357,54 @@ class TestPermutationTable:
         ([2, 2, 2, 2], False),  # 20,160
         ([13, 13], False),  # 26,208
         ([4, 4, 4], False),  # 86,016
-        ([2, 4], False),  # not homocyclic
     ], ids=str)
     def test_only_small_homocyclic_groups(self, factors, tabled):
         G = make_group(factors)
         assert permutation_table_fits(G) == tabled
         assert (automorphism_permutations(G) is not None) == tabled
 
+    @pytest.mark.parametrize("factors,tabled", [
+        ([2, 4], True),  # 8
+        ([3, 9], True),  # 108
+        ([2, 4, 4], True),  # 1,536
+        ([2, 2, 2, 4], False),  # 21,504
+        ([2, 2, 2, 6], False),  # 40,320
+        ([2, 2, 66], False),  # 3,360, but 264 elements
+        ([], False),  # the trivial group: one map, nothing to reorder
+    ], ids=str)
+    def test_non_homocyclic_cap_cases(self, factors, tabled):
+        G = make_group(factors)
+        assert permutation_table_fits(G) == tabled
+        assert (automorphism_permutations(G) is not None) == tabled
+
+    @pytest.mark.parametrize("factors", [(2, 4), (3, 9), (2, 12), (2, 2, 6), (4, 8)], ids=str)
+    def test_chain_table_is_the_matrix_action(self, factors):
+        # Column x, byte k: the index of M_k x for the k-th matrix the
+        # lister yields, applied mod n_i row by row.
+        G = make_group(list(factors))
+        table = group_table(G)
+        columns = automorphism_permutations(G)
+        matrices = list(enumerate_automorphisms(G))
+        assert all(len(column) == len(matrices) for column in columns)
+        for k, M in enumerate(matrices):
+            assert [column[k] for column in columns] == \
+                [table.index[apply_chain_matrix(M, factors, a)] for a in table.elements]
+
+    def test_fits_lists_no_map(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError("listed a map")
+
+        monkeypatch.setattr(groups, "enumerate_automorphisms", refuse)
+        fits = [permutation_table_fits(make_group(list(f))) for f in factor_chains(64)]
+        assert sum(fits) == 44 + sum(1 for f in factor_chains(64) if len(f) == 1)
+
 
 def brute_orbit_minima(factors):
     """The orbit minima (as an index bitmask) over every automorphism of
-    C_n1 + ... + C_nr, each found as generator images b_i with ord(b_i) | n_i
-    that give a bijection.  A choice of b_k with a * b_k in the span of
-    b_1..b_(k-1) for some 0 < a < n_k is dropped at once: the map is then
-    not injective on C_n1 + ... + C_nk, so no extension is a bijection."""
-    elements = all_elements(factors)
-    index = {c: i for i, c in enumerate(elements)}
-    zero = elements[0]
-
-    def combine(s, a, b):
-        return tuple((x + a * y) % n for x, y, n in zip(s, b, factors))
-
-    orders = [math.lcm(*(n // math.gcd(x, n) for x, n in zip(c, factors))) for c in elements]
-    least = list(range(len(elements)))  # least index in each element's orbit
-
-    def extend(k, images):  # images of C_n1 + ... + C_nk, in element order
-        if k == len(factors):
-            for i, c in enumerate(images):
-                least[i] = min(least[i], index[c])
-            return
-        n, span = factors[k], set(images)
-        for b, ord_b in zip(elements, orders):
-            if n % ord_b == 0 and all(combine(zero, a, b) not in span for a in range(1, n)):
-                extend(k + 1, [combine(s, a, b) for s in images for a in range(n)])
-
-    extend(0, [zero])
+    C_n1 + ... + C_nr, read from the generator-image oracle."""
+    least = list(range(math.prod(factors)))  # least index in each element's orbit
+    for images in brute_automorphism_maps(factors):
+        least = list(map(min, least, images))
     return sum(1 << i for i, j in enumerate(least) if i == j)
 
 

@@ -17,7 +17,7 @@ from zerosum import (
     LengthSet,
     Sequence,
     SearchConfig,
-    UnsupportedGroupError,
+    ResourceLimitError,
     davenport,
     enumerate_extremal,
     enumerate_minimal_zero_sum,
@@ -51,6 +51,7 @@ from conftest import (
     all_elements,
     apply_matrix,
     brute_davenport,
+    brute_automorphism_maps,
     brute_flag_count,
     brute_has_zero_sum,
     brute_invertible_matrices,
@@ -210,12 +211,13 @@ class TestBudgets:
     def test_workers_alone_split_at_depth_two(self):
         # workers > 1 with no parallel_depth splits at depth 2, the same
         # tree as parallel_depth=2, whether s_L is called from the CLI or not.
+        # C2^2xC6 s_<=6 runs orderly: 10 subtasks at depth 2.
         G = make_group([2, 2, 6])
         pooled = s_leq(G, 6, SearchConfig(workers=2))
         split = s_leq(G, 6, SearchConfig(parallel_depth=2))
         assert pooled.value == split.value == 10
         assert pooled.witness == split.witness
-        assert pooled.stats.nodes == split.stats.nodes == 25_757
+        assert pooled.stats.nodes == split.stats.nodes == 2_501
 
     def test_partition_phase_cut_spends_only_the_budget(self):
         result = s_leq(make_group([3, 3, 3]), 4, SearchConfig(node_budget=30, parallel_depth=2))
@@ -250,8 +252,7 @@ class TestStateLayout:
     length-mask kernel it replaced; the counts off the self-closed row are
     those of the multiplicity-cap bound, and on it those of the
     transposition table, both under orderly generation to depth 4 on C3^2
-    (orbit-minimum first terms on C2xC4), rooted at 0 when exp(G) divides
-    every member of L."""
+    and C2xC4, rooted at 0 when exp(G) divides every member of L."""
 
     @pytest.mark.parametrize(
         "run,expected",
@@ -260,7 +261,7 @@ class TestStateLayout:
             (lambda: davenport(C32), (5, "0,1^2; 1,0^2", 8, 25)),
             # Interval [1,k] below the limit: k rows of "at most l terms".
             (lambda: s_leq(C32, 3), (7, "0,1^2; 1,0^2; 1,1^2", 13, 33)),
-            (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 43, 77)),
+            (lambda: s_leq(make_group([2, 4]), 4), (6, "0,1^3; 1,0^1; 1,1^1", 21, 47)),
             # Interval reaching the limit (16 on C3^2: eight elements of
             # order 3, two copies each) collapses to the self-closed row.
             (lambda: s_leq(C32, 16), (5, "0,1^2; 1,0^2", 8, 25)),
@@ -551,11 +552,12 @@ class TestTranslation:
 
     @pytest.mark.parametrize("factors,symmetry,reference_nodes,nodes", [
         ([3, 3, 3], True, 54_637, 14_449),
-        ([2, 2, 4], False, 48_903, 19_116),
+        ([2, 2, 4], False, 48_903, 4_695),
         ([4, 4], False, 40_970, 4_193),
     ], ids=str)
     def test_pinned_counts(self, factors, symmetry, reference_nodes, nodes):
-        # s_egz, against the flag mask alone or the orbit-minimum roots.
+        # s_egz, against the flag mask alone or the orbit-minimum roots;
+        # C2^2xC4 and C4^2 run orderly+translation.
         G = make_group(factors)
         L = LengthSet.exactly(G.exponent)
         reference = unrestricted(G, L, SearchConfig(), "flag" if symmetry else "roots")
@@ -581,8 +583,11 @@ class TestTranslation:
 
 
 def brute_maps(G):
-    """Aut(G) as element-index permutations, read from the brute-force
-    matrix list through the coordinates."""
+    """Aut(G) as element-index permutations: on C_n^r read from the
+    brute-force matrix list through the coordinates, on other groups from
+    the generator-image oracle."""
+    if not G.is_homocyclic():
+        return list(brute_automorphism_maps(G.factors))
     table = group_table(G)
     n, r = G.exponent, G.rank
     return [[table.index[apply_matrix(M, n, a)] for a in table.elements]
@@ -646,8 +651,8 @@ class TestOrderly:
     value, witness, completeness and best length of the search with
     orbit-minimum first terms, in no more nodes."""
 
-    @pytest.mark.parametrize("factors", [[2, 2], [3, 3], [4, 4], [2, 2, 2], [5, 5], [6]],
-                             ids=str)
+    @pytest.mark.parametrize("factors", [[2, 2], [3, 3], [4, 4], [2, 2, 2], [5, 5], [6],
+                                         [2, 4], [2, 6], [2, 2, 4]], ids=str)
     def test_children_match_brute_force(self, factors):
         # The orbit minima are the orbit-least prefixes of 1 term; for every
         # orbit-least sorted prefix of 1 to 3 terms, the children kept are
@@ -711,11 +716,31 @@ class TestOrderly:
                     assert_same_as_unrestricted(G, result, reference)
                     assert result.stats.symmetry == expected_symmetry(G, L)
 
+    @pytest.mark.parametrize("factors,k", [
+        ((2, 4), 4), ((2, 6), 6), ((2, 8), 8), ((2, 10), 10), ((2, 12), 12), ((3, 6), 6),
+        ((3, 6), 7), ((3, 9), 9), ((3, 9), 10), ((2, 2, 4), 4), ((2, 2, 4), 5), ((2, 2, 6), 6),
+        ((2, 2, 6), 7),
+    ], ids=str)
+    def test_scan_rows_match_roots(self, factors, k):
+        # Every s_<=k row the order-27 conjecture scan searches on a group
+        # that is not homocyclic, all of which have a table: the value,
+        # witness and completeness of the orbit-minimum-roots search,
+        # serially and split at depth 2.
+        G, L = make_group(list(factors)), LengthSet.up_to(k)
+        for depth in (0, 2):
+            cfg = SearchConfig(parallel_depth=depth)
+            result = s_L(G, L, cfg)
+            assert result.stats.symmetry == "orderly"
+            assert_same_as_unrestricted(G, result, unrestricted(G, L, cfg, "roots"))
+
     @pytest.mark.parametrize("factors,L,roots_nodes,nodes", [
         # (serial, split at depth 2) node counts.
         ([6, 6], LengthSet.all_positive(), 324_684, (21_854, 27_170)),
         ([5, 5], LengthSet.up_to(5), 29_176, (4_967, 5_022)),
         ([3, 3, 3], LengthSet.up_to(4), 45_812, (1_613, 1_620)),
+        ([2, 10], LengthSet.all_positive(), 4_479, (1_228, 1_674)),
+        ([3, 9], LengthSet.up_to(9), 64_110, (10_915, 11_112)),
+        ([2, 4], LengthSet.up_to(4), 43, (21, 27)),
     ], ids=str)
     def test_pinned_counts(self, factors, L, roots_nodes, nodes):
         # The split counts do not depend on the worker count.
@@ -809,9 +834,11 @@ class TestTranspositionTable:
 
     @pytest.mark.parametrize("factors,cfg,nodes", [
         # With every first term: 114,205 and 24,643 nodes without the table,
-        # 9,149 and 9,611 with it (C3^2 is pinned in TestStateLayout).
+        # 9,149 and 9,611 with it (C3^2 is pinned in TestStateLayout).  C2^5
+        # runs on orbit-minimum roots, C2xC10 orderly (4,479 nodes on roots:
+        # TestOrderly.test_pinned_counts).
         ([2, 2, 2, 2, 2], None, 2_228),
-        ([2, 10], None, 4_479),
+        ([2, 10], None, 1_228),
     ], ids=str)
     def test_pinned_counts(self, factors, cfg, nodes):
         result = davenport(make_group(factors), cfg)
@@ -950,17 +977,19 @@ def pool_sizes(monkeypatch):
 
 
 class TestPoolSize:
-    G = make_group([2, 2, 6])  # s_<=6: 63 subtasks at depth 2, 25,757 nodes
+    # s_<=6 on orbit-minimum roots (21,504 automorphisms, over the table
+    # cap): 86 subtasks at depth 2, 89,530 nodes.
+    G = make_group([2, 2, 2, 4])
 
     @pytest.mark.parametrize("workers,cpus", [(100_000, 3), (2, 64), (100_000, 10**6)])
     def test_at_most_workers_subtasks_and_cpus(self, pool_sizes, monkeypatch, workers, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
         L = LengthSet.up_to(6)
         subtasks = len(_dfs(self.G, L, 10**6, None, "roots", (), 2, collect=True).found)
-        assert subtasks == 63
+        assert subtasks == 86
         result = s_L(self.G, L, SearchConfig(workers=workers))
         assert pool_sizes == [min(workers, subtasks, cpus)]
-        assert (result.value, result.stats.nodes) == (10, 25_757)
+        assert (result.value, result.stats.nodes) == (8, 89_530)
 
     def test_cpu_count_without_affinity(self, pool_sizes, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -972,7 +1001,7 @@ class TestPoolSize:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         result = s_leq(self.G, 6, SearchConfig(workers=4))
         assert pool_sizes == []
-        assert (result.value, result.stats.nodes) == (10, 25_757)
+        assert (result.value, result.stats.nodes) == (8, 89_530)
 
 
 class TestSequenceFromIndices:
@@ -1036,10 +1065,11 @@ class TestEnumeration:
         assert reduced.sequences == expected
 
     def test_orbit_reduction_refused_before_search(self, monkeypatch):
-        # C2xC4 is not homocyclic: refuse before the search starts, not after
-        # it (and not silently when a budget cut leaves nothing to reduce)
-        G = make_group([2, 4])
-        with pytest.raises(UnsupportedGroupError):
+        # C5^3 has more automorphisms than the lister lists: refuse before
+        # the search starts, not after it (and not silently when a budget
+        # cut leaves nothing to reduce)
+        G = make_group([5, 5, 5])
+        with pytest.raises(ResourceLimitError):
             enumerate_extremal(G, LengthSet.up_to(2), 2, SearchConfig(node_budget=1),
                                up_to_automorphism=True)
 
@@ -1047,7 +1077,7 @@ class TestEnumeration:
             raise AssertionError("search started")
 
         monkeypatch.setattr("zerosum.search._dfs", no_search)
-        with pytest.raises(UnsupportedGroupError):
+        with pytest.raises(ResourceLimitError):
             enumerate_extremal(G, LengthSet.up_to(2), 2, up_to_automorphism=True)
 
         # A lister wrapped in a generator function runs only when advanced:
@@ -1058,7 +1088,7 @@ class TestEnumeration:
             yield from lister(*args, **kwargs)
 
         monkeypatch.setattr("zerosum.search.enumerate_automorphisms", wrapped)
-        with pytest.raises(UnsupportedGroupError):
+        with pytest.raises(ResourceLimitError):
             enumerate_extremal(G, LengthSet.up_to(2), 2, up_to_automorphism=True)
 
     def test_minimal_zero_sum_enumeration(self):

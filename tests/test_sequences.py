@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from zerosum import (
     InvalidInputError,
     LengthSet,
+    ResourceLimitError,
     Sequence,
-    UnsupportedGroupError,
     feasibility,
     has_zero_sum_in,
     make_group,
@@ -26,6 +26,7 @@ from zerosum import (
 from zerosum.groups import group_table
 
 from conftest import (
+    brute_automorphism_maps,
     brute_has_zero_sum,
     brute_invertible_matrices,
     brute_min_zero_sum,
@@ -332,7 +333,24 @@ class TestAutomorphismAction:
         for G in (C32, make_group([4, 4])):
             assert orbit_canonical(Sequence.empty(G)) == Sequence.empty(G)
 
-    def test_orbit_canonical_refuses_non_homocyclic(self):
-        G = make_group([2, 4])
-        with pytest.raises(UnsupportedGroupError):
-            orbit_canonical(Sequence.parse(G, "1,0; 0,1"))
+    def test_orbit_canonical_refuses_over_cap(self):
+        # C5^3 has 1,488,000 automorphisms: no table, and the lister refuses.
+        G = make_group([5, 5, 5])
+        with pytest.raises(ResourceLimitError):
+            orbit_canonical(Sequence.parse(G, "1,0,0; 0,1,0"))
+
+    @pytest.mark.parametrize("factors", [(2, 4), (3, 9), (2, 12), (2, 2, 6), (2, 2, 2, 4)],
+                             ids=str)
+    def test_orbit_canonical_on_chains_is_least_image(self, factors):
+        # Against the least image over the generator-image oracle, by
+        # element indices; C2^3xC4 (21,504 maps) is over the table cap, so
+        # its images come from the coordinate path.
+        G = make_group(list(factors))
+        table = group_table(G)
+        maps = list(brute_automorphism_maps(factors))
+        rng = random.Random(34)
+        for _ in range(4):
+            S = random_sequence(G, rng.randint(1, 8), rng)
+            indices = [table.index[g.coords] for g in S.expand()]
+            least = min(sorted(perm[x] for x in indices) for perm in maps)
+            assert orbit_canonical(S) == Sequence.from_elements(G, map(table.element, least))
