@@ -62,10 +62,10 @@ only lower the order statistics of the image, so sorted phi(W) would be
 below W.  Value and witness stay those of the unrestricted search.  The
 children kept below Q depend on (G, Q) alone and are computed once per
 group and prefix (``_orderly_children``), with big-int operations on byte
-lanes, one lane per map, rather than by a pass over Aut(G) per node.  A
-process pool starts with the parent's cached children and sends back the
-ones its workers compute.  Other groups keep the orbit-minimum roots: the
-same rule cut at depth 1.
+lanes, one lane per map, rather than by a pass over Aut(G) per node.
+Each pooled subtask carries the parent's cached children and brings back
+the ones its worker computes, so they outlive the worker.  Other groups
+keep the orbit-minimum roots: the same rule cut at depth 1.
 
 When exp(G) divides every member of L, the root's only child is 0 instead
 (and under orderly generation the children of (0,) are then masked).
@@ -112,6 +112,7 @@ cut subtree of a shallower node with the same key can only be shallower.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import time
@@ -156,9 +157,12 @@ class SearchConfig:
     (same value, possibly another witness; translation still applies) and
     changes nothing on other groups.  A
     positive ``parallel_depth`` splits the tree into subtasks at that depth;
-    ``workers`` > 1 runs them in a process pool of at most that many
-    processes (and no more than the subtasks or the usable CPUs) and, with
-    ``parallel_depth`` 0, splits at depth 2.  Searches have no depth cap:
+    ``workers`` > 1 runs them in a process pool and, with
+    ``parallel_depth`` 0, splits at depth 2.  The pooled searches of a
+    process share one pool, which outlives each call: a call reuses it
+    while it has between min(workers, subtasks, usable CPUs) and
+    min(workers, usable CPUs) processes, and otherwise replaces it by one
+    of the former size.  Searches have no depth cap:
     the multiplicity caps bound the tree, so only the budgets can stop a
     search short.
     """
@@ -296,9 +300,9 @@ def _translate(x: int, moves) -> int:
     return x
 
 
-# The orderly children of each prefix Q, per group: _masks[G][Q].  A pool
-# starts with the parent's masks for its group and sends back the ones its
-# workers compute, so they outlive the pool.
+# The orderly children of each prefix Q, per group: _masks[G][Q].  Each
+# pooled subtask carries the parent's masks for its group and sends back
+# the ones its worker computes.
 _masks: dict[GroupSpec, dict[tuple[int, ...], int]] = {}
 
 
@@ -624,19 +628,52 @@ def _deadline(cfg: SearchConfig) -> float | None:
     return time.monotonic() + cfg.time_budget if cfg.time_budget else None
 
 
-def _install_masks(G: GroupSpec, masks: dict) -> None:
-    """Pool initializer: start a worker with the parent's orderly masks."""
-    _masks.setdefault(G, {}).update(masks)
-
-
-def _subtask(G, L, node_budget, deadline, symmetry, prefix, cap):
-    """``_dfs`` below a prefix in a pool worker, with the orderly masks it
-    computed: those past the ones the mask cache held before (a dict keeps
-    insertion order)."""
-    masks = _masks.setdefault(G, {})
-    known = len(masks)
+def _subtask(G, L, node_budget, deadline, symmetry, prefix, cap, masks):
+    """``_dfs`` below a prefix in a pool worker, started from the parent's
+    orderly masks for G, with the masks it added: those past the ones the
+    worker's cache held before (a dict keeps insertion order)."""
+    cache = _masks.setdefault(G, {})
+    cache.update(masks)
+    known = len(cache)
     outcome = _dfs(G, L, node_budget, deadline, symmetry, prefix, cap)
-    return outcome, dict(islice(masks.items(), known, None))
+    return outcome, dict(islice(cache.items(), known, None))
+
+
+# The process pool that pooled searches share, started on first use, and
+# its size.  It lives until a call needs another size, a call leaves work
+# in it, a worker dies, or the interpreter exits.
+_pool = None
+_pool_size = 0
+
+
+def _shutdown_pool() -> None:
+    """Shut the shared pool down, cancelling what has not started and
+    waiting for its workers, and drop it."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(cancel_futures=True)
+
+
+def _shared_pool(least: int, most: int):
+    """The shared pool if its size lies in [least, most], else a new one of
+    ``least`` processes, started once the old one has shut down, so that
+    no fork happens while a live pool's threads are running."""
+    global _pool, _pool_size
+    if _pool is not None and least <= _pool_size <= most:
+        return _pool
+    _shutdown_pool()
+    # Imported here: the process pool module is a large share of the
+    # package's import time, and only pooled searches need it.
+    from concurrent.futures import ProcessPoolExecutor
+
+    _pool, _pool_size = ProcessPoolExecutor(max_workers=least), least
+    return _pool
+
+
+# Before interpreter teardown collects the pool, so that exit is quiet and
+# leaves no worker behind.
+atexit.register(_shutdown_pool)
 
 
 def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
@@ -646,9 +683,16 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
     subtasks share the node budget as if run one after another: a pool
     result that would not fit in what is left is searched again with exactly
     that budget.  The outcome does not depend on scheduling or worker count.
-    The pool starts at most one process per worker, subtask and usable CPU,
-    each with this process's orderly masks for G, and the masks its workers
-    compute are kept here, so a later pool on G computes none it has seen.
+    The subtasks run in the process's shared pool when it has between
+    min(workers, subtasks, usable CPUs) and min(workers, usable CPUs)
+    processes; otherwise a pool of the former size replaces it (none when
+    that is 1: the subtasks run here).  Each subtask carries this process's
+    orderly masks for G and brings back those its worker computed, so a
+    later call on G computes none it has seen.  A call that stops on a
+    budget or an exception cancels the subtasks that have not started and,
+    if any is still running, shuts the pool down; a call that completes
+    keeps it.  A subtask lost to a dead worker is searched here, and the
+    broken pool is dropped.
     """
     deadline = _deadline(cfg)
     split = _dfs(G, L, cfg.node_budget, deadline, symmetry, (), min(depth, limit), collect=True)
@@ -663,24 +707,30 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
             else os.cpu_count() or 1)
     size = min(cfg.workers, len(split.found), cpus)
     masks = _masks.setdefault(G, {})
-    pool = None
-    if size > 1:
-        # Imported here: the process pool module is a large share of the
-        # package's import time, and only pooled searches need it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=size, initializer=_install_masks,
-                                   initargs=(G, dict(masks)))
     try:
-        if pool is not None:
-            futures = [pool.submit(_subtask, G, L, cfg.node_budget - nodes, deadline, symmetry,
-                                   pfx, limit) for pfx in split.found]
+        if size > 1:
+            # Imported here, as the pool is (see _shared_pool).
+            from concurrent.futures.process import BrokenProcessPool
+
+            pool = _shared_pool(size, min(cfg.workers, cpus))
+            # One snapshot for every task: the pool pickles tasks in a
+            # thread of its own while the loop below adds to ``masks``.
+            sent = dict(masks)
+            try:
+                futures = [pool.submit(_subtask, G, L, cfg.node_budget - nodes, deadline,
+                                       symmetry, pfx, limit, sent) for pfx in split.found]
+            except BrokenProcessPool:  # a worker died since the last call
+                _shutdown_pool()
         for pfx, future in zip(split.found, futures):
             left = cfg.node_budget - nodes
             sub = None
             if future is not None:
-                sub, added = future.result()
-                masks.update(added)
+                try:
+                    sub, added = future.result()
+                except BrokenProcessPool:  # searched here below
+                    _shutdown_pool()
+                else:
+                    masks.update(added)
             if sub is None or sub.nodes > left:
                 sub = _dfs(G, L, left, deadline, symmetry, pfx, limit)
             if sub.best > best:
@@ -691,8 +741,11 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
                 stopped = True
                 break
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        # Left by a stop or an exception: cancel what has not started.  A
+        # task the pool has queued for a worker counts as running.
+        running = [f for f in futures if f is not None and not f.cancel() and not f.done()]
+        if running:
+            _shutdown_pool()
     return _Outcome(best, best_stack, nodes, pruned, stopped, [])
 
 

@@ -6,6 +6,8 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -919,13 +921,27 @@ class TestNoHorizon:
             SearchConfig(horizon=5)
 
 
+@pytest.fixture
+def fresh_pool():
+    """Shuts the search's shared pool down before and after the test, so a
+    test that replaces ProcessPoolExecutor starts its own pool and leaves
+    none behind."""
+    search._shutdown_pool()
+    yield
+    search._shutdown_pool()
+
+
+def worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
 class TestMaskHandOff:
-    """A pool starts with the parent's orderly masks for its group and sends
-    back the ones its workers compute, so only the first partitioned search
-    on a group computes masks in workers, under fork and under spawn."""
+    """Each subtask carries the parent's orderly masks for its group and
+    brings back the ones its worker computed, so a second pool on a group
+    computes no mask the first one did, under fork and under spawn."""
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_second_pool_computes_no_mask(self, monkeypatch, method):
+    def test_second_pool_computes_no_mask(self, fresh_pool, monkeypatch, method):
         G = make_group([6, 6])
         context = multiprocessing.get_context(method)
         futures = []
@@ -940,20 +956,171 @@ class TestMaskHandOff:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setitem(search._masks, G, {})
-        added, results = [], []
+        added, results, pids = [], [], []
         for _ in range(2):
             futures.clear()
             results.append(davenport(G, SearchConfig(workers=2)))
             # Each subtask returns its outcome and the masks it computed.
             added.append(sum(len(future.result()[1]) for future in futures))
+            pids.append(worker_pids())
+            # The second call's workers start with no mask of their own.
+            search._shutdown_pool()
         assert added[0] > 0 and added[1] == 0
+        assert pids[0].isdisjoint(pids[1])
         for result in results:
             assert (result.value, result.witness, result.stats.nodes) == \
                 (11, results[0].witness, 27_170)
 
 
+class TestSharedPool:
+    """Pooled searches share one pool per process: it outlives each call,
+    is replaced when a call needs another size, stopped or failed calls
+    leave no work in it, and a dead worker costs nothing but time."""
+
+    G = make_group([3, 3, 3])
+
+    def assert_as_serial(self, result):
+        """``result`` is C3^3 s_<=4 as split at depth 2 and searched here."""
+        serial = s_leq(self.G, 4, SearchConfig(parallel_depth=2))
+        assert (result.value, result.witness, result.stats.nodes, result.stats.pruned) == \
+            (serial.value, serial.witness, serial.stats.nodes, serial.stats.pruned)
+
+    def test_two_calls_run_on_the_same_workers(self, fresh_pool):
+        first = s_leq(self.G, 4, SearchConfig(workers=2))
+        pids = worker_pids()
+        second = s_leq(self.G, 4, SearchConfig(workers=2))
+        assert len(pids) == 2 and worker_pids() == pids
+        assert search._pool is not None
+        for result in (first, second):
+            assert (result.value, result.stats.nodes) == (10, 1_620)
+            self.assert_as_serial(result)
+
+    def test_larger_pool_replaces_the_pool(self, fresh_pool, monkeypatch):
+        # C4^2 D splits into 6 subtasks at depth 2.
+        G = make_group([4, 4])
+        serial = davenport(G, SearchConfig(parallel_depth=2))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3), raising=False)
+        sizes = []
+        for workers in (2, 3, 3, 2):
+            result = davenport(G, SearchConfig(workers=workers))
+            assert (result.value, result.witness, result.stats.nodes) == \
+                (serial.value, serial.witness, serial.stats.nodes)
+            sizes.append((search._pool, search._pool_size, frozenset(worker_pids())))
+        # A larger pool replaces the pool of 2 and serves the next call;
+        # a call of at most 2 workers replaces it in turn.
+        assert [size for _, size, _ in sizes] == [2, 3, 3, 2]
+        assert [len(pids) for _, _, pids in sizes] == [2, 3, 3, 2]
+        assert sizes[1][0] is sizes[2][0] and sizes[1][2] == sizes[2][2]
+        assert sizes[0][0] is not sizes[1][0] and sizes[0][2].isdisjoint(sizes[1][2])
+        assert sizes[3][0] is not sizes[2][0] and sizes[3][2].isdisjoint(sizes[2][2])
+
+    # The benchmark's partitioned queries: (invariant, factors, symmetry)
+    # and the split node count.
+    PARTITIONED = {
+        "c3x3x3-leq4": (lambda G, cfg: s_leq(G, 4, cfg), [3, 3, 3], False, 1_620),
+        "c5x5-leq5": (lambda G, cfg: s_leq(G, 5, cfg), [5, 5], False, 5_022),
+        "c3x3x3-egz-sym": (s_egz, [3, 3, 3], True, 16_345),
+        "c3x3x3x3-dav-sym": (davenport, [3, 3, 3, 3], True, 55_320),
+        "c6x6-dav": (davenport, [6, 6], False, 27_170),
+    }
+
+    @pytest.mark.parametrize("invariant,factors,symmetry,nodes", PARTITIONED.values(),
+                             ids=PARTITIONED)
+    def test_workers_one_and_two_agree(self, fresh_pool, invariant, factors, symmetry, nodes):
+        G = make_group(factors)
+        serial = invariant(G, SearchConfig(symmetry_reduction=symmetry))
+        one, two = (invariant(G, SearchConfig(symmetry_reduction=symmetry, parallel_depth=2,
+                                              workers=workers)) for workers in (1, 2))
+        assert (one.value, one.witness) == (serial.value, serial.witness)
+        assert (one.value, one.witness, one.stats.nodes, one.stats.pruned) == \
+            (two.value, two.witness, two.stats.nodes, two.stats.pruned)
+        assert one.stats.nodes == nodes
+
+    def test_dead_worker_is_searched_here(self, fresh_pool):
+        s_leq(self.G, 4, SearchConfig(workers=2))
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        # Let the pool see the death, as it would between two real calls
+        # (the death of a worker during a call has its own test below).
+        give_up = time.monotonic() + 30
+        while not search._pool._broken and time.monotonic() < give_up:
+            time.sleep(0.01)
+        self.assert_as_serial(s_leq(self.G, 4, SearchConfig(workers=2)))
+        # The broken pool is gone, and the next call starts a new one.
+        assert search._pool is None
+        self.assert_as_serial(s_leq(self.G, 4, SearchConfig(workers=2)))
+        assert len(worker_pids()) == 2 and victim.pid not in worker_pids()
+
+    @pytest.fixture
+    def slow_pool(self, fresh_pool, monkeypatch):
+        """A fork pool whose workers run ``behave(prefix)`` before each
+        subtask; returns the futures the search submits and a setter for
+        ``behave``.  Fork copies the patched ``_subtask`` into the workers,
+        which find it under its module and name when a task is unpickled."""
+        context = multiprocessing.get_context("fork")
+        futures, behaviour = [], {}
+        real = search._subtask
+
+        def subtask(*args):
+            behaviour["behave"](args[5])
+            return real(*args)
+
+        subtask.__module__, subtask.__qualname__ = real.__module__, real.__qualname__
+
+        class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, mp_context=context, **kwargs)
+
+            def submit(self, *args):
+                futures.append(super().submit(*args))
+                return futures[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(search, "_subtask", subtask)
+        return futures, lambda behave: behaviour.__setitem__("behave", behave)
+
+    def test_completed_call_keeps_the_pool(self, slow_pool):
+        futures, set_behaviour = slow_pool
+        set_behaviour(lambda prefix: None)
+        self.assert_as_serial(s_leq(self.G, 4, SearchConfig(workers=2)))
+        assert len(futures) == 2 and search._pool is not None
+
+    def test_budget_stop_drops_a_busy_pool(self, slow_pool):
+        # C3^3 s_<=4 splits into 4 nodes and 2 subtasks of 1,520 and 96
+        # nodes: a budget of 800 stops the first while the second sleeps.
+        futures, set_behaviour = slow_pool
+        set_behaviour(lambda prefix: prefix != (1, 1) and time.sleep(0.5))
+        budget = 800
+        result = s_leq(self.G, 4, SearchConfig(workers=2, node_budget=budget))
+        serial = s_leq(self.G, 4, SearchConfig(parallel_depth=2, node_budget=budget))
+        assert not result.complete and result.stats.nodes == budget
+        assert (result.best_length, result.witness, result.stats.pruned) == \
+            (serial.best_length, serial.witness, serial.stats.pruned)
+        assert search._pool is None and all(f.done() for f in futures)
+
+    def test_worker_dying_in_a_call_is_searched_here(self, slow_pool):
+        futures, set_behaviour = slow_pool
+        set_behaviour(lambda prefix: prefix == (1, 3) and os.kill(os.getpid(), signal.SIGKILL))
+        self.assert_as_serial(s_leq(self.G, 4, SearchConfig(workers=2)))
+        assert search._pool is None
+        assert isinstance(futures[1].exception(), concurrent.futures.process.BrokenProcessPool)
+
+    def test_interrupt_drops_a_busy_pool(self, slow_pool):
+        futures, set_behaviour = slow_pool
+
+        def behave(prefix):
+            if prefix == (1, 1):
+                raise KeyboardInterrupt
+            time.sleep(0.5)
+
+        set_behaviour(behave)
+        with pytest.raises(KeyboardInterrupt):
+            s_leq(self.G, 4, SearchConfig(workers=2))
+        assert search._pool is None and all(f.done() for f in futures)
+
+
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def pool_sizes(fresh_pool, monkeypatch):
     """Replaces ProcessPoolExecutor, which the search imports from
     concurrent.futures when it starts a pool, by a stand-in that runs each
     task in this process, so no pool is ever started; returns the list of
@@ -961,7 +1128,7 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class InlineExecutor:
-        def __init__(self, max_workers, initializer=None, initargs=()):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def submit(self, fn, *args):
@@ -969,7 +1136,7 @@ def pool_sizes(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-        def shutdown(self, cancel_futures=False):
+        def shutdown(self, wait=True, *, cancel_futures=False):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
