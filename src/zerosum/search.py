@@ -63,9 +63,9 @@ below W.  Value and witness stay those of the unrestricted search.  The
 children kept below Q depend on (G, Q) alone and are computed once per
 group and prefix (``_orderly_children``), with big-int operations on byte
 lanes, one lane per map, rather than by a pass over Aut(G) per node.
-Each pooled subtask carries the parent's cached children and brings back
-the ones its worker computes, so they outlive the worker.  Other groups
-keep the orbit-minimum roots: the same rule cut at depth 1.
+Each pooled subtask carries the parent's cached children below its prefix
+and brings back the ones its worker computes, so they outlive the worker.
+Other groups keep the orbit-minimum roots: the same rule cut at depth 1.
 
 When exp(G) divides every member of L, the root's only child is 0 instead
 (and under orderly generation the children of (0,) are then masked).
@@ -160,9 +160,8 @@ class SearchConfig:
     ``workers`` > 1 runs them in a process pool and, with
     ``parallel_depth`` 0, splits at depth 2.  The pooled searches of a
     process share one pool, which outlives each call: a call reuses it
-    while it has between min(workers, subtasks, usable CPUs) and
-    min(workers, usable CPUs) processes, and otherwise replaces it by one
-    of the former size.  Searches have no depth cap:
+    when it has min(workers, subtasks, usable CPUs) processes, and
+    otherwise replaces it by one of that size.  Searches have no depth cap:
     the multiplicity caps bound the tree, so only the budgets can stop a
     search short.
     """
@@ -301,8 +300,8 @@ def _translate(x: int, moves) -> int:
 
 
 # The orderly children of each prefix Q, per group: _masks[G][Q].  Each
-# pooled subtask carries the parent's masks for its group and sends back
-# the ones its worker computes.
+# pooled subtask carries the parent's masks below its prefix and sends
+# back the ones its worker computes.
 _masks: dict[GroupSpec, dict[tuple[int, ...], int]] = {}
 
 
@@ -630,8 +629,9 @@ def _deadline(cfg: SearchConfig) -> float | None:
 
 def _subtask(G, L, node_budget, deadline, symmetry, prefix, cap, masks):
     """``_dfs`` below a prefix in a pool worker, started from the parent's
-    orderly masks for G, with the masks it added: those past the ones the
-    worker's cache held before (a dict keeps insertion order)."""
+    orderly masks below that prefix (the only ones it reads), with the
+    masks it added: those past the ones the worker's cache held before (a
+    dict keeps insertion order)."""
     cache = _masks.setdefault(G, {})
     cache.update(masks)
     known = len(cache)
@@ -655,25 +655,33 @@ def _shutdown_pool() -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def _shared_pool(least: int, most: int):
-    """The shared pool if its size lies in [least, most], else a new one of
-    ``least`` processes, started once the old one has shut down, so that
-    no fork happens while a live pool's threads are running."""
+def _forget_pool() -> None:
+    """Drop the shared pool without shutting it down: in a forked child it
+    is the parent's, whose threads the child does not have."""
+    global _pool
+    _pool = None
+
+
+def _shared_pool(size: int):
+    """The shared pool if it has ``size`` processes, else a new one of that
+    size, started once the old one has shut down."""
     global _pool, _pool_size
-    if _pool is not None and least <= _pool_size <= most:
+    if _pool is not None and _pool_size == size:
         return _pool
     _shutdown_pool()
     # Imported here: the process pool module is a large share of the
     # package's import time, and only pooled searches need it.
     from concurrent.futures import ProcessPoolExecutor
 
-    _pool, _pool_size = ProcessPoolExecutor(max_workers=least), least
+    _pool, _pool_size = ProcessPoolExecutor(max_workers=size), size
     return _pool
 
 
 # Before interpreter teardown collects the pool, so that exit is quiet and
 # leaves no worker behind.
 atexit.register(_shutdown_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
@@ -683,16 +691,16 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
     subtasks share the node budget as if run one after another: a pool
     result that would not fit in what is left is searched again with exactly
     that budget.  The outcome does not depend on scheduling or worker count.
-    The subtasks run in the process's shared pool when it has between
-    min(workers, subtasks, usable CPUs) and min(workers, usable CPUs)
-    processes; otherwise a pool of the former size replaces it (none when
-    that is 1: the subtasks run here).  Each subtask carries this process's
-    orderly masks for G and brings back those its worker computed, so a
-    later call on G computes none it has seen.  A call that stops on a
-    budget or an exception cancels the subtasks that have not started and,
-    if any is still running, shuts the pool down; a call that completes
-    keeps it.  A subtask lost to a dead worker is searched here, and the
-    broken pool is dropped.
+    The subtasks run in the process's shared pool when it has
+    min(workers, subtasks, usable CPUs) processes; otherwise a pool of that
+    size replaces it (none when that is 1: the subtasks run here).  Each
+    subtask carries this process's orderly masks below its prefix and
+    brings back those its worker computed, so a later call on G computes
+    none it has seen.  A call that stops on a budget or an exception
+    cancels the subtasks that have not started and, if any is still
+    running, shuts the pool down; a call that completes keeps it.  A
+    subtask lost to a dead worker is searched here, and the broken pool is
+    dropped.
     """
     deadline = _deadline(cfg)
     split = _dfs(G, L, cfg.node_budget, deadline, symmetry, (), min(depth, limit), collect=True)
@@ -712,13 +720,19 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
             # Imported here, as the pool is (see _shared_pool).
             from concurrent.futures.process import BrokenProcessPool
 
-            pool = _shared_pool(size, min(cfg.workers, cpus))
-            # One snapshot for every task: the pool pickles tasks in a
-            # thread of its own while the loop below adds to ``masks``.
-            sent = dict(masks)
+            pool = _shared_pool(size)
+            # Each task carries the masks below its own prefix, so each
+            # mask is sent once per call.  They are copies: the pool
+            # pickles tasks in a thread of its own while the loop below
+            # adds to ``masks``.
+            d = len(split.found[0])
+            below = {pfx: {} for pfx in split.found}
+            for q, mask in masks.items():
+                if q[:d] in below:
+                    below[q[:d]][q] = mask
             try:
                 futures = [pool.submit(_subtask, G, L, cfg.node_budget - nodes, deadline,
-                                       symmetry, pfx, limit, sent) for pfx in split.found]
+                                       symmetry, pfx, limit, below[pfx]) for pfx in split.found]
             except BrokenProcessPool:  # a worker died since the last call
                 _shutdown_pool()
         for pfx, future in zip(split.found, futures):

@@ -6,6 +6,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import select
 import signal
 import time
 from concurrent.futures import Future
@@ -985,12 +986,18 @@ class TestSharedPool:
         assert (result.value, result.witness, result.stats.nodes, result.stats.pruned) == \
             (serial.value, serial.witness, serial.stats.nodes, serial.stats.pruned)
 
-    def test_two_calls_run_on_the_same_workers(self, fresh_pool):
+    def test_two_calls_run_on_the_same_workers(self, slow_pool):
+        # Both subtasks of a call wait for each other, so each call keeps
+        # both workers busy even where the pool forks its workers one at a
+        # time, on demand (Python 3.10, or the spawn start method).
+        futures, set_behaviour = slow_pool
+        barrier = multiprocessing.get_context("fork").Barrier(2)
+        set_behaviour(lambda prefix: barrier.wait(timeout=30))
         first = s_leq(self.G, 4, SearchConfig(workers=2))
-        pids = worker_pids()
+        pool, pids = search._pool, worker_pids()
         second = s_leq(self.G, 4, SearchConfig(workers=2))
+        assert len(futures) == 4 and search._pool is pool
         assert len(pids) == 2 and worker_pids() == pids
-        assert search._pool is not None
         for result in (first, second):
             assert (result.value, result.stats.nodes) == (10, 1_620)
             self.assert_as_serial(result)
@@ -1000,19 +1007,20 @@ class TestSharedPool:
         G = make_group([4, 4])
         serial = davenport(G, SearchConfig(parallel_depth=2))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3), raising=False)
-        sizes = []
+        pools = []
         for workers in (2, 3, 3, 2):
             result = davenport(G, SearchConfig(workers=workers))
             assert (result.value, result.witness, result.stats.nodes) == \
                 (serial.value, serial.witness, serial.stats.nodes)
-            sizes.append((search._pool, search._pool_size, frozenset(worker_pids())))
-        # A larger pool replaces the pool of 2 and serves the next call;
-        # a call of at most 2 workers replaces it in turn.
-        assert [size for _, size, _ in sizes] == [2, 3, 3, 2]
-        assert [len(pids) for _, _, pids in sizes] == [2, 3, 3, 2]
-        assert sizes[1][0] is sizes[2][0] and sizes[1][2] == sizes[2][2]
-        assert sizes[0][0] is not sizes[1][0] and sizes[0][2].isdisjoint(sizes[1][2])
-        assert sizes[3][0] is not sizes[2][0] and sizes[3][2].isdisjoint(sizes[2][2])
+            pools.append((search._pool, search._pool_size, frozenset(worker_pids())))
+        # A pool of 3 replaces the pool of 2 and serves the next call; a
+        # call of 2 workers replaces it in turn.  A replaced pool's workers
+        # are gone before the new pool starts.  A pool may fork its workers
+        # on demand, so the count of live workers is not pinned.
+        assert [size for _, size, _ in pools] == [2, 3, 3, 2]
+        assert pools[1][0] is pools[2][0] and pools[1][2] <= pools[2][2]
+        for old, new in (pools[0], pools[1]), (pools[2], pools[3]):
+            assert new[0] is not old[0] and old[2].isdisjoint(new[2])
 
     # The benchmark's partitioned queries: (invariant, factors, symmetry)
     # and the split node count.
@@ -1049,7 +1057,44 @@ class TestSharedPool:
         # The broken pool is gone, and the next call starts a new one.
         assert search._pool is None
         self.assert_as_serial(s_leq(self.G, 4, SearchConfig(workers=2)))
-        assert len(worker_pids()) == 2 and victim.pid not in worker_pids()
+        assert search._pool_size == 2 and victim.pid not in worker_pids()
+
+    def test_forked_child_starts_its_own_pool(self, fresh_pool):
+        # A child forked after a pooled search inherits the parent's pool
+        # but not the threads that feed it: a pooled search in the child
+        # must start a pool of its own rather than wait on that one.
+        self.assert_as_serial(s_leq(self.G, 4, SearchConfig(workers=2)))
+        pool = search._pool
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                result = s_leq(self.G, 4, SearchConfig(workers=2))
+                os.write(write, repr((result.value, str(result.witness), result.stats.nodes,
+                                      result.stats.pruned)).encode())
+                search._shutdown_pool()
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        try:
+            ready, _, _ = select.select([read], [], [], 60)
+            reply = os.read(read, 1 << 16).decode() if ready else None
+        finally:
+            os.close(read)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+        assert reply is not None, "the child's pooled search did not return"
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        serial = s_leq(self.G, 4, SearchConfig(parallel_depth=2))
+        assert reply == repr((serial.value, str(serial.witness), serial.stats.nodes,
+                              serial.stats.pruned))
+        # The parent's pool is untouched and serves its next call.
+        self.assert_as_serial(s_leq(self.G, 4, SearchConfig(workers=2)))
+        assert search._pool is pool
 
     @pytest.fixture
     def slow_pool(self, fresh_pool, monkeypatch):
