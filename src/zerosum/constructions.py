@@ -18,8 +18,7 @@ from math import gcd
 from .errors import InvalidInputError, InvalidParamsError
 from .groups import (
     GroupSpec,
-    automorphism_images,
-    automorphism_permutations,
+    automorphism_index_images,
     d_star,
     group_table,
     make_group,
@@ -182,9 +181,8 @@ def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
     For k = 0 the membership rule is: appending the negated sum must land in
     the k = 1 family.  The scan over automorphisms makes the result basis
     independent by construction.  Images are compared with the members as
-    sorted element indices: where C_n^2 has a permutation table
-    (``groups.permutation_table_fits``) each map's image is read from its
-    columns, elsewhere from the coordinates ``automorphism_images`` gives.
+    sorted element indices, read map by map from
+    ``groups.automorphism_index_images``.
     """
     G = make_group([n, n])
     if S.group != G:
@@ -198,12 +196,7 @@ def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
         S, k = S.with_term(-sigma(S)), 1
     members = _member_indices(n, k)
     index = group_table(G).index
-    terms = [g.coords for g in S.expand()]
-    columns = automorphism_permutations(G)
-    if columns is None:
-        images = (map(index.__getitem__, image) for image in automorphism_images(G, terms))
-    else:
-        images = zip(*(columns[index[c]] for c in terms))
+    images = automorphism_index_images(G, [index[g.coords] for g in S.expand()])
     return any(tuple(sorted(image)) in members for image in images)
 
 

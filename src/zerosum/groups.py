@@ -12,9 +12,10 @@ of any G, read from height (Ulm) sequences.  ``automorphism_images`` is the
 one place a matrix is applied to coordinates.  The cached column-major
 table of element indices (``automorphism_permutations``, for every G with
 |G| <= 256 and |Aut(G)| <= 2^14, such as C_3^3, C_3 x C_9 and C_n^2 for
-n <= 12) is built from its byte lanes; the search's orderly check, orbit
-canonicalisation and the inverse-structure matcher read that table, and
-the latter two read the images map by map on groups too large for it.
+n <= 12) is built from its byte lanes and read by the search's orderly
+check.  ``automorphism_index_images`` gives the images of element indices
+map by map, from that table where G has one and from the coordinates
+otherwise; orbit canonicalisation and the inverse-structure matcher read it.
 """
 
 from __future__ import annotations
@@ -428,7 +429,8 @@ def automorphism_images(G: GroupSpec, coords, lanes: bool = False):
                     column = known[row] = tuple(sum(m * x for m, x in zip(row, a)) % n
                                                 for a in coords)
                 columns.append(column)
-            yield list(zip(*columns))
+            # The trivial group has no coordinate: each image is ().
+            yield list(zip(*columns)) if columns else [()] * len(coords)
 
     return images()
 
@@ -467,6 +469,22 @@ def automorphism_permutations(G: GroupSpec) -> tuple[bytes, ...] | None:
     for x, column in enumerate(columns):
         columns[x] = bytes(column)  # frees each bytearray as it is copied
     return tuple(columns)
+
+
+def automorphism_index_images(G: GroupSpec, indices):
+    """For each automorphism phi of G, in ``enumerate_automorphisms`` order,
+    the tuple of the images phi(x) of the element indices x in the list
+    ``indices``, in input order: read from the columns of
+    ``automorphism_permutations`` where G has that table, else from the
+    coordinates ``automorphism_images`` gives, and refused as it refuses."""
+    columns = automorphism_permutations(G)
+    if columns is not None:
+        if not indices:  # zip() would yield no image at all
+            return itertools.repeat((), len(columns[0]))
+        return zip(*(columns[x] for x in indices))
+    table = group_table(G)
+    images = automorphism_images(G, map(table.elements.__getitem__, indices))
+    return (tuple(map(table.index.__getitem__, image)) for image in images)
 
 
 @lru_cache(maxsize=None)

@@ -63,8 +63,8 @@ below W.  Value and witness stay those of the unrestricted search.  The
 children kept below Q depend on (G, Q) alone and are computed once per
 group and prefix (``_orderly_children``), with big-int operations on byte
 lanes, one lane per map, rather than by a pass over Aut(G) per node.
-Each pooled subtask carries the parent's cached children below its prefix
-and brings back the ones its worker computes, so they outlive the worker.
+Each process keeps its own cache; pool workers outlive a call, so their
+caches serve the later pooled calls that reuse the pool.
 Other groups keep the orbit-minimum roots: the same rule cut at depth 1.
 
 When exp(G) divides every member of L, the root's only child is 0 instead
@@ -117,7 +117,8 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from itertools import groupby, islice
+from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import InvalidInputError
@@ -299,17 +300,12 @@ def _translate(x: int, moves) -> int:
     return x
 
 
-# The orderly children of each prefix Q, per group: _masks[G][Q].  Each
-# pooled subtask carries the parent's masks below its prefix and sends
-# back the ones its worker computes.
-_masks: dict[GroupSpec, dict[tuple[int, ...], int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _orderly_children(G: GroupSpec, prefix: tuple[int, ...]) -> int:
     """The t >= Q[-1] whose sorted prefix + (t,) is least among its images
     under Aut(G), as an |G|-bit int, for an orbit-least sorted ``prefix`` Q
-    of d terms on a group with an automorphism permutation table; cached in
-    ``_masks``.
+    of d terms on a group with an automorphism permutation table; cached
+    per process.
 
     Lane k of a big int is its byte k, for the k-th map phi.  With B the
     sorted phi(Q.t) and P = Q.t, B < P iff some j has B[j] < P[j] and
@@ -324,10 +320,6 @@ def _orderly_children(G: GroupSpec, prefix: tuple[int, ...]) -> int:
     iff B[d] < t as well, that is, phi(t) and every term of phi(Q) are below
     t.  Counts stay at most d, so no lane carries into the next byte.
     """
-    masks = _masks.setdefault(G, {})
-    mask = masks.get(prefix)
-    if mask is not None:
-        return mask
     columns = automorphism_permutations(G)
     last = prefix[-1]
     ones = int.from_bytes(b"\x01" * len(columns[0]), "little")
@@ -381,7 +373,6 @@ def _orderly_children(G: GroupSpec, prefix: tuple[int, ...]) -> int:
             else:
                 continue
         mask |= 1 << t
-    masks[prefix] = mask
     return mask
 
 
@@ -627,18 +618,6 @@ def _deadline(cfg: SearchConfig) -> float | None:
     return time.monotonic() + cfg.time_budget if cfg.time_budget else None
 
 
-def _subtask(G, L, node_budget, deadline, symmetry, prefix, cap, masks):
-    """``_dfs`` below a prefix in a pool worker, started from the parent's
-    orderly masks below that prefix (the only ones it reads), with the
-    masks it added: those past the ones the worker's cache held before (a
-    dict keeps insertion order)."""
-    cache = _masks.setdefault(G, {})
-    cache.update(masks)
-    known = len(cache)
-    outcome = _dfs(G, L, node_budget, deadline, symmetry, prefix, cap)
-    return outcome, dict(islice(cache.items(), known, None))
-
-
 # The process pool that pooled searches share, started on first use, and
 # its size.  It lives until a call needs another size, a call leaves work
 # in it, a worker dies, or the interpreter exits.
@@ -694,13 +673,11 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
     The subtasks run in the process's shared pool when it has
     min(workers, subtasks, usable CPUs) processes; otherwise a pool of that
     size replaces it (none when that is 1: the subtasks run here).  Each
-    subtask carries this process's orderly masks below its prefix and
-    brings back those its worker computed, so a later call on G computes
-    none it has seen.  A call that stops on a budget or an exception
-    cancels the subtasks that have not started and, if any is still
-    running, shuts the pool down; a call that completes keeps it.  A
-    subtask lost to a dead worker is searched here, and the broken pool is
-    dropped.
+    worker keeps the orderly masks it computes for as long as the pool
+    lives.  A call that stops on a budget or an exception cancels the
+    subtasks that have not started and, if any is still running, shuts the
+    pool down; a call that completes keeps it.  A subtask lost to a dead
+    worker is searched here, and the broken pool is dropped.
     """
     deadline = _deadline(cfg)
     split = _dfs(G, L, cfg.node_budget, deadline, symmetry, (), min(depth, limit), collect=True)
@@ -714,25 +691,15 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     size = min(cfg.workers, len(split.found), cpus)
-    masks = _masks.setdefault(G, {})
     try:
         if size > 1:
             # Imported here, as the pool is (see _shared_pool).
             from concurrent.futures.process import BrokenProcessPool
 
             pool = _shared_pool(size)
-            # Each task carries the masks below its own prefix, so each
-            # mask is sent once per call.  They are copies: the pool
-            # pickles tasks in a thread of its own while the loop below
-            # adds to ``masks``.
-            d = len(split.found[0])
-            below = {pfx: {} for pfx in split.found}
-            for q, mask in masks.items():
-                if q[:d] in below:
-                    below[q[:d]][q] = mask
             try:
-                futures = [pool.submit(_subtask, G, L, cfg.node_budget - nodes, deadline,
-                                       symmetry, pfx, limit, below[pfx]) for pfx in split.found]
+                futures = [pool.submit(_dfs, G, L, cfg.node_budget - nodes, deadline,
+                                       symmetry, pfx, limit) for pfx in split.found]
             except BrokenProcessPool:  # a worker died since the last call
                 _shutdown_pool()
         for pfx, future in zip(split.found, futures):
@@ -740,11 +707,9 @@ def _run_partitioned(G, L, cfg, depth, limit, symmetry) -> _Outcome:
             sub = None
             if future is not None:
                 try:
-                    sub, added = future.result()
+                    sub = future.result()
                 except BrokenProcessPool:  # searched here below
                     _shutdown_pool()
-                else:
-                    masks.update(added)
             if sub is None or sub.nodes > left:
                 sub = _dfs(G, L, left, deadline, symmetry, pfx, limit)
             if sub.best > best:

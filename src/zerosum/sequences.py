@@ -15,8 +15,7 @@ from .errors import GroupMismatchError, InvalidInputError, ResourceLimitError
 from .groups import (
     GroupElement,
     GroupSpec,
-    automorphism_images,
-    automorphism_permutations,
+    automorphism_index_images,
     group_table,
 )
 
@@ -314,20 +313,13 @@ def subsequence_count_table(S: Sequence, mod: int | None = None, max_len: int | 
 def orbit_canonical(S: Sequence) -> Sequence:
     """Lexicographically least image of S under Aut(G).
 
-    Images are compared as their sorted term coordinates, which orders
-    them as the element-index sequences of ``group_table`` do.  Where G has
-    a permutation table (``groups.permutation_table_fits``), each map's
-    image is read from the table's columns as element indices; elsewhere
-    ``automorphism_images`` applies the matrices to the coordinates, and
-    refuses G over the lister's cap.
+    Images are compared as sorted element indices in ``group_table``
+    order, which is coordinate order.  Each map's image comes from
+    ``groups.automorphism_index_images``, which refuses G over the lister's
+    cap.
     """
     G = S.group
-    columns = automorphism_permutations(G)
-    if columns is None:
-        terms = [g.coords for g in S.expand()]
-        best = min(sorted(image) for image in automorphism_images(G, terms))
-        return Sequence.from_elements(G, (GroupElement(G, c) for c in best))
     table = group_table(G)
     indices = [table.index[g.coords] for g in S.expand()]
-    best = min((sorted(image) for image in zip(*(columns[x] for x in indices))), default=[])
+    best = min(sorted(image) for image in automorphism_index_images(G, indices))
     return Sequence.from_elements(G, map(table.element, best))

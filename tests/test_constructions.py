@@ -5,6 +5,7 @@ import random
 import pytest
 
 import zerosum.constructions as constructions
+import zerosum.groups as groups
 from zerosum import (
     InvalidInputError,
     InvalidParamsError,
@@ -262,7 +263,7 @@ class TestMatcherAgainstImageScan:
                       (Sequence.from_elements(G, other), k, False)]
         assert [match_inverse_structure(S, n, k) for S, k, _ in cases] == \
             [expected for _, _, expected in cases]
-        monkeypatch.setattr(constructions, "automorphism_permutations", lambda G: None)
+        monkeypatch.setattr(groups, "automorphism_permutations", lambda G: None)
         assert [match_inverse_structure(S, n, k) for S, k, _ in cases] == \
             [expected for _, _, expected in cases]
 

@@ -399,6 +399,31 @@ class TestPermutationTable:
         assert sum(fits) == 44 + sum(1 for f in factor_chains(64) if len(f) == 1)
 
 
+class TestIndexImages:
+    # Tabled: C3^2, C2xC4, C6^2.  Over the table cap: C2^3xC4 (21,504 maps)
+    # and the trivial group, whose one map has no table.
+    @pytest.mark.parametrize("factors", [(3, 3), (2, 4), (6, 6), (2, 2, 2, 4), ()], ids=str)
+    def test_is_the_matrix_action_on_either_path(self, monkeypatch, factors):
+        # Per map in lister order, the indices of the images of the inputs,
+        # unsorted and with a repeat, in input order; with the table and
+        # with its lookup patched away.
+        G = make_group(list(factors))
+        table = group_table(G)
+        indices = [G.order - 1, 0, G.order - 1, G.order // 2]
+        expected = [tuple(table.index[apply_chain_matrix(M, factors, table.elements[x])]
+                          for x in indices) for M in enumerate_automorphisms(G)]
+        empty = [()] * len(expected)
+        assert list(groups.automorphism_index_images(G, indices)) == expected
+        assert list(groups.automorphism_index_images(G, [])) == empty
+        monkeypatch.setattr(groups, "automorphism_permutations", lambda G: None)
+        assert list(groups.automorphism_index_images(G, indices)) == expected
+        assert list(groups.automorphism_index_images(G, [])) == empty
+
+    def test_refuses_over_the_cap_when_called(self):
+        with pytest.raises(ResourceLimitError):
+            groups.automorphism_index_images(make_group([5, 5, 5]), [1])
+
+
 def brute_orbit_minima(factors):
     """The orbit minima (as an index bitmask) over every automorphism of
     C_n1 + ... + C_nr, read from the generator-image oracle."""

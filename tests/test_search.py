@@ -936,41 +936,37 @@ def worker_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
 
-class TestMaskHandOff:
-    """Each subtask carries the parent's orderly masks for its group and
-    brings back the ones its worker computed, so a second pool on a group
-    computes no mask the first one did, under fork and under spawn."""
+class TestPooledCaches:
+    """Each process keeps its own orderly masks, so a pooled call gives the
+    serial split's value, witness, nodes and pruned whatever the caches of
+    the parent and the workers hold, under fork and under spawn."""
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_second_pool_computes_no_mask(self, fresh_pool, monkeypatch, method):
+    def test_pooled_call_matches_serial_split(self, fresh_pool, monkeypatch, method):
         G = make_group([6, 6])
         context = multiprocessing.get_context(method)
-        futures = []
 
-        class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+        class ContextExecutor(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, mp_context=context, **kwargs)
 
-            def submit(self, *args):
-                futures.append(super().submit(*args))
-                return futures[-1]
+        def facts(result):
+            return result.value, result.witness, result.stats.nodes, result.stats.pruned
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setitem(search._masks, G, {})
-        added, results, pids = [], [], []
-        for _ in range(2):
-            futures.clear()
-            results.append(davenport(G, SearchConfig(workers=2)))
-            # Each subtask returns its outcome and the masks it computed.
-            added.append(sum(len(future.result()[1]) for future in futures))
-            pids.append(worker_pids())
-            # The second call's workers start with no mask of their own.
-            search._shutdown_pool()
-        assert added[0] > 0 and added[1] == 0
-        assert pids[0].isdisjoint(pids[1])
-        for result in results:
-            assert (result.value, result.witness, result.stats.nodes) == \
-                (11, results[0].witness, 27_170)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ContextExecutor)
+        # The parent holds no mask: forked workers inherit only those of the
+        # split, spawned ones none.
+        _orderly_children.cache_clear()
+        cold = davenport(G, SearchConfig(workers=2))
+        search._shutdown_pool()
+        # The serial split warms the parent; a new pool forks from it, and
+        # a second call reuses that pool's warm workers.
+        serial = davenport(G, SearchConfig(parallel_depth=2))
+        warm = davenport(G, SearchConfig(workers=2))
+        again = davenport(G, SearchConfig(workers=2))
+        assert (serial.value, serial.stats.nodes) == (11, 27_170)
+        for result in (cold, warm, again):
+            assert facts(result) == facts(serial)
 
 
 class TestSharedPool:
@@ -1100,17 +1096,19 @@ class TestSharedPool:
     def slow_pool(self, fresh_pool, monkeypatch):
         """A fork pool whose workers run ``behave(prefix)`` before each
         subtask; returns the futures the search submits and a setter for
-        ``behave``.  Fork copies the patched ``_subtask`` into the workers,
-        which find it under its module and name when a task is unpickled."""
+        ``behave``.  Fork copies the patched ``_dfs`` into the workers,
+        which find it under its module and name when a task is unpickled.
+        The parent's split and reruns call it too, and skip ``behave``."""
         context = multiprocessing.get_context("fork")
         futures, behaviour = [], {}
-        real = search._subtask
+        real, parent_pid = search._dfs, os.getpid()
 
-        def subtask(*args):
-            behaviour["behave"](args[5])
-            return real(*args)
+        def dfs(*args, **kwargs):
+            if os.getpid() != parent_pid:
+                behaviour["behave"](args[5])
+            return real(*args, **kwargs)
 
-        subtask.__module__, subtask.__qualname__ = real.__module__, real.__qualname__
+        dfs.__module__, dfs.__qualname__ = real.__module__, real.__qualname__
 
         class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
@@ -1121,7 +1119,7 @@ class TestSharedPool:
                 return futures[-1]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(search, "_subtask", subtask)
+        monkeypatch.setattr(search, "_dfs", dfs)
         return futures, lambda behave: behaviour.__setitem__("behave", behave)
 
     def test_completed_call_keeps_the_pool(self, slow_pool):

@@ -333,6 +333,12 @@ class TestAutomorphismAction:
         for G in (C32, make_group([4, 4])):
             assert orbit_canonical(Sequence.empty(G)) == Sequence.empty(G)
 
+    def test_orbit_canonical_on_the_trivial_group(self):
+        # One map and no coordinate: every sequence is its own canonical form.
+        G = make_group([])
+        S = Sequence.from_elements(G, [group_table(G).element(0)] * 2)
+        assert orbit_canonical(S) == S
+
     def test_orbit_canonical_refuses_over_cap(self):
         # C5^3 has 1,488,000 automorphisms: no table, and the lister refuses.
         G = make_group([5, 5, 5])
