@@ -16,6 +16,8 @@ n <= 12) is built from its byte lanes and read by the search's orderly
 check.  ``automorphism_index_images`` gives the images of element indices
 map by map, from that table where G has one and from the coordinates
 otherwise; orbit canonicalisation and the inverse-structure matcher read it.
+``element_index`` and ``element_coords`` convert between an element's
+coordinates and its group_table index without building the table.
 """
 
 from __future__ import annotations
@@ -471,20 +473,41 @@ def automorphism_permutations(G: GroupSpec) -> tuple[bytes, ...] | None:
     return tuple(columns)
 
 
+def element_index(G: GroupSpec, coords) -> int:
+    """The index of the coordinate tuple ``coords`` in group_table order,
+    sum_i c_i * w_i with w_i = n_(i+1) * ... * n_r, found without the table."""
+    index = 0
+    for c, n in zip(coords, G.factors):
+        index = index * n + c
+    return index
+
+
+def element_coords(G: GroupSpec, index: int) -> tuple[int, ...]:
+    """The coordinate tuple of element ``index`` in group_table order, the
+    inverse of ``element_index``, found without the table."""
+    coords = []
+    for n in reversed(G.factors):
+        index, c = divmod(index, n)
+        coords.append(c)
+    return tuple(reversed(coords))
+
+
 def automorphism_index_images(G: GroupSpec, indices):
     """For each automorphism phi of G, in ``enumerate_automorphisms`` order,
     the tuple of the images phi(x) of the element indices x in the list
     ``indices``, in input order: read from the columns of
     ``automorphism_permutations`` where G has that table, else from the
-    coordinates ``automorphism_images`` gives, and refused as it refuses."""
+    coordinates ``automorphism_images`` gives, and refused as it refuses.
+    The coordinate path converts indices by ``element_index`` and
+    ``element_coords``, so it serves G of any order, group_table's cap
+    included."""
     columns = automorphism_permutations(G)
     if columns is not None:
         if not indices:  # zip() would yield no image at all
             return itertools.repeat((), len(columns[0]))
         return zip(*(columns[x] for x in indices))
-    table = group_table(G)
-    images = automorphism_images(G, map(table.elements.__getitem__, indices))
-    return (tuple(map(table.index.__getitem__, image)) for image in images)
+    images = automorphism_images(G, [element_coords(G, x) for x in indices])
+    return (tuple(element_index(G, a) for a in image) for image in images)
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,8 @@ from .groups import (
     GroupElement,
     GroupSpec,
     automorphism_index_images,
+    element_coords,
+    element_index,
     group_table,
 )
 
@@ -316,10 +318,11 @@ def orbit_canonical(S: Sequence) -> Sequence:
     Images are compared as sorted element indices in ``group_table``
     order, which is coordinate order.  Each map's image comes from
     ``groups.automorphism_index_images``, which refuses G over the lister's
-    cap.
+    cap.  Indices are converted by ``groups.element_index`` and
+    ``groups.element_coords``, not read from ``group_table``, which refuses
+    G with more than ``groups.ENUMERATION_CAP`` elements.
     """
     G = S.group
-    table = group_table(G)
-    indices = [table.index[g.coords] for g in S.expand()]
+    indices = [element_index(G, g.coords) for g in S.expand()]
     best = min(sorted(image) for image in automorphism_index_images(G, indices))
-    return Sequence.from_elements(G, map(table.element, best))
+    return Sequence.from_elements(G, (GroupElement(G, element_coords(G, x)) for x in best))

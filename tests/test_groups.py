@@ -419,6 +419,21 @@ class TestIndexImages:
         assert list(groups.automorphism_index_images(G, indices)) == expected
         assert list(groups.automorphism_index_images(G, [])) == empty
 
+    @pytest.mark.parametrize("factors", [(), (7,), (2, 4), (3, 9), (2, 2, 6)], ids=str)
+    def test_element_index_is_table_order(self, factors):
+        # element_index and element_coords agree with group_table and are
+        # inverse to each other.
+        G = make_group(list(factors))
+        table = group_table(G)
+        assert [groups.element_index(G, c) for c in table.elements] == list(range(G.order))
+        assert [groups.element_coords(G, x) for x in range(G.order)] == list(table.elements)
+
+    def test_element_index_above_the_table_cap(self):
+        # C2 x C1021020 has more elements than group_table allows.
+        G = make_group([2, 1021020])
+        assert groups.element_index(G, (1, 5)) == 1021025
+        assert groups.element_coords(G, 2 * 1021020 - 1) == (1, 1021019)
+
     def test_refuses_over_the_cap_when_called(self):
         with pytest.raises(ResourceLimitError):
             groups.automorphism_index_images(make_group([5, 5, 5]), [1])

@@ -23,6 +23,8 @@ from zerosum import (
     subsequence_count_table,
 )
 
+import zerosum.groups as groups
+import zerosum.sequences as sequences
 from zerosum.groups import group_table
 
 from conftest import (
@@ -338,6 +340,28 @@ class TestAutomorphismAction:
         G = make_group([])
         S = Sequence.from_elements(G, [group_table(G).element(0)] * 2)
         assert orbit_canonical(S) == S
+
+    def test_orbit_canonical_above_the_table_cap(self):
+        # C_1021020 has more than ENUMERATION_CAP elements, so group_table
+        # refuses it, but only 184,320 automorphisms (x -> ux, u a unit).
+        # 3 -> 1 takes u = 1/3, and then -1 -> -1/3 = -3 mod 1021020 / 3.
+        G = make_group([1021020])
+        S = Sequence.parse(G, "3^2; 1021019")
+        assert orbit_canonical(S) == Sequence.parse(G, "1; 1021017^2")
+
+    def test_orbit_canonical_reads_no_table_over_the_permutation_cap(self, monkeypatch):
+        # C2^3xC4 is over the permutation-table cap: its canonical form comes
+        # from the coordinate path, which must not call group_table.
+        G = make_group([2, 2, 2, 4])
+        S = Sequence.parse(G, "1,0,1,2; 0,1,1,3^2; 1,1,0,1")
+        expected = orbit_canonical(S)
+
+        def refuse(G):
+            raise AssertionError("group_table was called")
+
+        for module in (groups, sequences):
+            monkeypatch.setattr(module, "group_table", refuse)
+        assert orbit_canonical(S) == expected
 
     def test_orbit_canonical_refuses_over_cap(self):
         # C5^3 has 1,488,000 automorphisms: no table, and the lister refuses.
