@@ -20,7 +20,7 @@ from .groups import (
     GroupSpec,
     automorphism_index_images,
     d_star,
-    group_table,
+    element_index,
     make_group,
 )
 from .sequences import Sequence, min_zero_sum_length, sigma
@@ -195,8 +195,7 @@ def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
         # phi(S) (-sigma(phi(S))) = phi(S (-sigma(S))), so extend S once.
         S, k = S.with_term(-sigma(S)), 1
     members = _member_indices(n, k)
-    index = group_table(G).index
-    images = automorphism_index_images(G, [index[g.coords] for g in S.expand()])
+    images = automorphism_index_images(G, [element_index(G, g.coords) for g in S.expand()])
     return any(tuple(sorted(image)) in members for image in images)
 
 
@@ -204,9 +203,9 @@ def match_inverse_structure(S: Sequence, n: int, k: int) -> bool:
 def _member_indices(n: int, k: int) -> frozenset[tuple[int, ...]]:
     """The sorted element indices, in ``group_table`` order, of the terms
     of every (n, k) family member, for k >= 1."""
-    index = group_table(make_group([n, n])).index
+    G = make_group([n, n])
     return frozenset(
-        tuple(index[g.coords] for g in m.expand()) for m in inverse_family_members(n, k)
+        tuple(element_index(G, g.coords) for g in m.expand()) for m in inverse_family_members(n, k)
     )
 
 

@@ -14,16 +14,16 @@ table of element indices (``automorphism_permutations``, for every G with
 |G| <= 256 and |Aut(G)| <= 2^14, such as C_3^3, C_3 x C_9 and C_n^2 for
 n <= 12) is built from its byte lanes and read by the search's orderly
 check.  ``automorphism_index_images`` gives the images of element indices
-map by map, from that table where G has one and from the coordinates
-otherwise; orbit canonicalisation and the inverse-structure matcher read it.
-``element_index`` and ``element_coords`` convert between an element's
-coordinates and its group_table index without building the table.
+map by map, from that table where G has one and otherwise from
+``automorphism_images`` (``element_coords`` converts without a table);
+orbit canonicalisation and the inverse-structure matcher read it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -371,13 +371,13 @@ _LANE_BLOCK = 512
 
 def automorphism_images(G: GroupSpec, coords, lanes: bool = False):
     """For each automorphism phi of G, in ``enumerate_automorphisms`` order,
-    the list of the images phi(a) of the coordinate tuples a in ``coords``,
-    in input order.
+    the tuple of the group_table indices of the images phi(a) of the
+    coordinate tuples a in ``coords``, in input order.
 
     This is the one place the package applies a matrix to coordinates:
     row i of M maps a to coordinate i of phi(a), so each image is assembled
     from r dot products of a matrix row with an input, mod n_i, computed
-    the first time that row is met and kept for later maps.
+    the first time that row is met at position i and kept for later maps.
 
     With ``lanes``, the images come transposed as byte lanes, for blocks of
     at most ``_LANE_BLOCK`` consecutive maps: per block, a list with, per
@@ -421,18 +421,23 @@ def automorphism_images(G: GroupSpec, coords, lanes: bool = False):
         return blocks()
 
     def images():
-        dots = {n: {} for n in factors}
+        # Column i of a map holds w_i * phi(a)_i per input a, w_i = n_(i+1)
+        # ... n_r, so the columns sum to indices; w_i also marks position i.
+        weights = [math.prod(factors[i + 1:]) for i in range(len(factors))]
+        dots = {}
         for M in matrices:
             columns = []
-            for row, n in zip(M, factors):
-                known = dots[n]
-                column = known.get(row)
+            for row, n, w in zip(M, factors, weights):
+                column = dots.get((row, w))
                 if column is None:
-                    column = known[row] = tuple(sum(m * x for m, x in zip(row, a)) % n
-                                                for a in coords)
+                    column = dots[row, w] = tuple(w * (sum(m * x for m, x in zip(row, a)) % n)
+                                                  for a in coords)
                 columns.append(column)
-            # The trivial group has no coordinate: each image is ().
-            yield list(zip(*columns)) if columns else [()] * len(coords)
+            # The trivial group has no column, and every index is 0.
+            image = columns[0] if columns else (0,) * len(coords)
+            for column in columns[1:]:
+                image = tuple(map(operator.add, image, column))
+            yield image
 
     return images()
 
@@ -474,22 +479,13 @@ def automorphism_permutations(G: GroupSpec) -> tuple[bytes, ...] | None:
 
 
 def element_index(G: GroupSpec, coords) -> int:
-    """The index of the coordinate tuple ``coords`` in group_table order,
-    sum_i c_i * w_i with w_i = n_(i+1) * ... * n_r, found without the table."""
-    index = 0
-    for c, n in zip(coords, G.factors):
-        index = index * n + c
-    return index
+    """The group_table index of ``coords``, sum_i c_i * n_(i+1) ... n_r."""
+    return sum(c * math.prod(G.factors[i + 1:]) for i, c in enumerate(coords))
 
 
 def element_coords(G: GroupSpec, index: int) -> tuple[int, ...]:
-    """The coordinate tuple of element ``index`` in group_table order, the
-    inverse of ``element_index``, found without the table."""
-    coords = []
-    for n in reversed(G.factors):
-        index, c = divmod(index, n)
-        coords.append(c)
-    return tuple(reversed(coords))
+    """The coordinates of group_table element ``index``: ``element_index`` inverted."""
+    return tuple(index // math.prod(G.factors[i + 1:]) % n for i, n in enumerate(G.factors))
 
 
 def automorphism_index_images(G: GroupSpec, indices):
@@ -497,17 +493,14 @@ def automorphism_index_images(G: GroupSpec, indices):
     the tuple of the images phi(x) of the element indices x in the list
     ``indices``, in input order: read from the columns of
     ``automorphism_permutations`` where G has that table, else from the
-    coordinates ``automorphism_images`` gives, and refused as it refuses.
-    The coordinate path converts indices by ``element_index`` and
-    ``element_coords``, so it serves G of any order, group_table's cap
-    included."""
+    images ``automorphism_images`` gives (no group_table needed), and
+    refused as it refuses."""
     columns = automorphism_permutations(G)
     if columns is not None:
         if not indices:  # zip() would yield no image at all
             return itertools.repeat((), len(columns[0]))
         return zip(*(columns[x] for x in indices))
-    images = automorphism_images(G, [element_coords(G, x) for x in indices])
-    return (tuple(element_index(G, a) for a in image) for image in images)
+    return automorphism_images(G, [element_coords(G, x) for x in indices])
 
 
 @lru_cache(maxsize=None)

@@ -318,9 +318,7 @@ def orbit_canonical(S: Sequence) -> Sequence:
     Images are compared as sorted element indices in ``group_table``
     order, which is coordinate order.  Each map's image comes from
     ``groups.automorphism_index_images``, which refuses G over the lister's
-    cap.  Indices are converted by ``groups.element_index`` and
-    ``groups.element_coords``, not read from ``group_table``, which refuses
-    G with more than ``groups.ENUMERATION_CAP`` elements.
+    cap; no group_table is read, so G may have more than 10^6 elements.
     """
     G = S.group
     indices = [element_index(G, g.coords) for g in S.expand()]

@@ -293,10 +293,11 @@ class TestAutomorphisms:
         G = make_group([n] * r)
         coords = [(1,) * r, (0,) * (r - 1) + (n - 1,), (1,) * r, (n - 1,) + (0,) * (r - 1)]
         matrices = brute_invertible_matrices(n, r)
+        index = group_table(G).index
         assert list(automorphism_images(G, coords)) == [
-            [apply_matrix(M, n, a) for a in coords] for M in matrices
+            tuple(index[apply_matrix(M, n, a)] for a in coords) for M in matrices
         ]
-        assert list(automorphism_images(G, [])) == [[] for _ in matrices]
+        assert list(automorphism_images(G, [])) == [() for _ in matrices]
         # Byte lanes: per input, coordinate i of its image under every map,
         # all in one block here.
         assert list(automorphism_images(G, coords, lanes=True)) == [[
@@ -312,8 +313,9 @@ class TestAutomorphisms:
         G = make_group(list(factors))
         coords = [(1,) * G.rank, tuple(n - 1 for n in factors), (1,) * G.rank, (0,) * G.rank]
         matrices = list(enumerate_automorphisms(G))
+        index = group_table(G).index
         assert list(automorphism_images(G, coords)) == [
-            [apply_chain_matrix(M, factors, a) for a in coords] for M in matrices
+            tuple(index[apply_chain_matrix(M, factors, a)] for a in coords) for M in matrices
         ]
         blocks = list(automorphism_images(G, coords, lanes=True))
         assert [len(block[0][0]) for block in blocks[:-1]] == [64] * (len(blocks) - 1)
