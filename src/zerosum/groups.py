@@ -291,8 +291,10 @@ def enumerate_automorphisms(G: GroupSpec):
     chosen top to bottom in lexicographic order, each kept only if, for
     every p whose block holds it, its block part mod p lies outside the
     F_p-span of the block rows above it, so exactly the automorphisms are
-    visited.  Raises ResourceLimitError when called, before an iterator is
-    returned, for a G with more than ENUMERATION_CAP automorphisms.
+    visited.  On a cyclic group C_n that rule keeps the rows (a,) with
+    gcd(a, n) = 1, which are listed directly.  Raises ResourceLimitError
+    when called, before an iterator is returned, for a G with more than
+    ENUMERATION_CAP automorphisms.
     """
     r = G.rank
     count = _automorphism_count(G)
@@ -302,6 +304,16 @@ def enumerate_automorphisms(G: GroupSpec):
         )
     if not r:
         return iter(((),))
+    if r == 1:
+        n = G.factors[0]
+        return (((a,),) for a in range(n) if math.gcd(a, n) == 1)
+    return _automorphisms_by_rows(G)
+
+
+def _automorphisms_by_rows(G: GroupSpec):
+    """The maps of ``enumerate_automorphisms`` on a G of rank >= 1, chosen
+    row by row against the span of the rows above in each prime block."""
+    r = G.rank
     rows = [tuple(itertools.product(*entries)) for entries in _row_entries(G.factors)]
     # Per prime p: (p, the first row and column of its block).
     blocks = [(p, next(i for i, n in enumerate(G.factors) if n % p == 0))

@@ -81,8 +81,9 @@ def sweep_i0(ps=(3, 5, 7), ts=(0, 1), max_T: int = 400) -> SweepOutcome:
     the predicted location (exact or l0-resolved) must equal i0;
     lower-bound cases must have no nonzero a_i below p+d-v; a true
     check_4_7 flag must pin i0 <= p+d-v; check_4_8 must imply check_4_7; a
-    true check_4_9 flag must pin i0 = 2; and the windowed compute_i0 must
-    agree with i0 truncated to its window.
+    true check_4_9 flag must pin i0 = 2, and at v = 0 it must equal
+    check_4_7; and the windowed compute_i0 must agree with i0 truncated to
+    its window.
     """
     rec = _Recorder("i0-predictions")
     for p in ps:
@@ -151,12 +152,16 @@ def _check_i0_tuple(rec, label, dec: PDecomposition) -> None:
             rec.violation(f"{label}: check_4_7 true but no nonzero a_i up to {bound}")
         if check_4_8(dec) and not flag7:
             rec.violation(f"{label}: check_4_8 true but check_4_7 false")
-    try:
-        flag9 = check_4_9(dec)
-    except InvalidInputError:
-        flag9 = None
-    if flag9 and i0 != 2:
-        rec.violation(f"{label}: check_4_9 true but i0 != 2")
+        if d == 1:  # the shape check_4_9 takes
+            flag9 = check_4_9(dec)
+            if flag9 and i0 != 2:
+                rec.violation(f"{label}: check_4_9 true but i0 != 2")
+            # Both families have v = 0 here (d >= v+1), where a_1 = 0 and
+            # a_2 = C(u1, c1) != 0 mod p, so i0 = 2 whatever check_4_9 says.
+            # The check that can fail: at v = 0, check_4_9 is check_4_7,
+            # whose sign (-1)^(p+1) is 1 mod p.
+            if v == 0 and flag9 != flag7:
+                rec.violation(f"{label}: check_4_9 is {flag9} but check_4_7 is {flag7}")
 
     # Windowed variant: with D = 2 the window is [1, 2k-2]; the windowed
     # answer must be the scan truncated to that window.

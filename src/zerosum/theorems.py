@@ -25,12 +25,13 @@ from .groups import (
     GroupSpec,
     d_star,
     enumerate_elements,
+    group_table,
     is_prime,
     make_group,
 )
 from .known import known_davenport, known_s_kexp, known_s_leq
 from .search import SearchConfig, davenport, enumerate_minimal_zero_sum, s_leq
-from .sequences import Sequence, feasibility, min_zero_sum_length
+from .sequences import Sequence, feasibility
 
 # Above this order, brute-force searches stop being desk-scale.
 DESK_ORDER_CAP = 32
@@ -263,7 +264,11 @@ def lemma_3_6_property(
     not of the form C_2 + C_2m.
 
     ``trials`` None enumerates every (T, g) pair; otherwise that many pairs
-    (at least one) are sampled with the given seed.
+    (at least one) are sampled with the given seed.  Each pair is decided
+    from one feasibility table per minimal sequence T, not one per pair:
+    the shortest zero-sum subsequence of T g^2 is the minimum, over the
+    number a in {0, 1, 2} of copies of g it uses, of a plus the shortest
+    U in T with sigma(U) = -a*g (see ``_two_copy_shortest``).
     """
     if trials is not None and trials < 1:
         raise InvalidInputError(f"need trials >= 1, got {trials}")
@@ -277,28 +282,63 @@ def lemma_3_6_property(
     minimal = enumerate_minimal_zero_sum(G, D - 1, cfg)
     if not minimal.complete:
         raise InvalidInputError("enumeration budget exhausted")
+    sequences = minimal.sequences
     elements = list(enumerate_elements(G))
     if trials is None:
-        pairs = [(T, g) for T in minimal.sequences for g in elements]
-        exhaustive = True
+        # T by T; each T's lengths are dropped once its pairs are read.
+        cases = (
+            (T, g, shortest)
+            for T in sequences
+            for g, shortest in zip(elements, _two_copy_shortest(T))
+        )
     else:
-        rng = random.Random(seed)
-        pairs = [
-            (rng.choice(minimal.sequences), rng.choice(elements)) for _ in range(trials)
-        ]
-        exhaustive = False
+        cases = _sampled_cases(sequences, elements, trials, seed)
     violations = []
-    for T, g in pairs:
-        S = T.with_term(g, 2)
-        shortest = min_zero_sum_length(S)
+    count = 0
+    for T, g, shortest in cases:
+        count += 1
         if shortest is None or shortest > D - 2:
             violations.append(f"T={T.format()} g={g}: shortest zero-sum {shortest}")
     return PropertyReport(
         group=G,
-        cases=len(pairs),
+        cases=count,
         violations=tuple(violations),
-        exhaustive=exhaustive,
+        exhaustive=trials is None,
     )
+
+
+def _sampled_cases(sequences, elements, trials: int, seed: int):
+    """(T, g, shortest) for ``trials`` pairs drawn with the seed: T, then g,
+    per pair.  Drawing an index of a list takes the same random draw as
+    drawing from the list, so the pairs are those of ``rng.choice``."""
+    rng = random.Random(seed)
+    lengths: dict[int, list[int | None]] = {}  # per drawn T, by index
+    for _ in range(trials):
+        t = rng.choice(range(len(sequences)))
+        i = rng.choice(range(len(elements)))
+        if t not in lengths:
+            lengths[t] = _two_copy_shortest(sequences[t])
+        yield sequences[t], elements[i], lengths[t][i]
+
+
+def _two_copy_shortest(T: Sequence) -> list[int | None]:
+    """Per element g, in enumeration order, the length of the shortest
+    nonempty zero-sum subsequence of T g^2 (None if there is none), equal
+    to ``min_zero_sum_length(T.with_term(g, 2))``.
+
+    Such a subsequence uses a in {0, 1, 2} copies of g and a U in T with
+    sigma(U) = -a*g, U nonempty when a = 0, so one feasibility table of T
+    answers every g: its mask at -a*g, shifted up by a, holds the lengths
+    a + |U| those subsequences take."""
+    table = group_table(T.group)
+    masks = feasibility(T).masks
+    nonempty = masks[0] & ~1  # a = 0
+    out = []
+    for i, neg in enumerate(table.neg):
+        # sub_row(i)[neg] is -g - g = -2g.
+        zero = nonempty | masks[neg] << 1 | masks[table.sub_row(i)[neg]] << 2
+        out.append((zero & -zero).bit_length() - 1 if zero else None)
+    return out
 
 
 # --- conjecture harness ------------------------------------------------------

@@ -21,6 +21,7 @@ from zerosum import (
 from zerosum import groups
 from zerosum.groups import (
     _automorphism_count,
+    _automorphisms_by_rows,
     automorphism_images,
     automorphism_permutations,
     factorize,
@@ -260,6 +261,17 @@ class TestAutomorphisms:
 
     def test_trivial_group_has_the_empty_matrix(self):
         assert list(enumerate_automorphisms(GroupSpec(()))) == [()]
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_cyclic_units_are_the_row_path(self, n):
+        # On C_n the maps are listed as the units mod n; the row-by-row
+        # path, which tests each candidate row against every prime block,
+        # gives the same maps in the same order.
+        G = make_group([n])
+        got = list(enumerate_automorphisms(G))
+        assert got == list(_automorphisms_by_rows(G))
+        assert got == [((a,),) for a in range(n) if math.gcd(a, n) == 1]
+        assert len(got) == _automorphism_count(G)
 
     @pytest.mark.parametrize("factors", [f for f in factor_chains(24) if len(f) > 1], ids=str)
     def test_matches_generator_images(self, factors):

@@ -24,8 +24,9 @@ from zerosum import (
     s_leq,
     sigma,
 )
-from zerosum.groups import is_prime
-from zerosum.theorems import thm_1_10_claims
+from zerosum.groups import enumerate_elements, is_prime
+from zerosum.search import enumerate_minimal_zero_sum
+from zerosum.theorems import _sampled_cases, _two_copy_shortest, thm_1_10_claims
 
 C32 = make_group([3, 3])
 C33 = make_group([3, 3, 3])
@@ -301,6 +302,49 @@ class TestLemma36Property:
         assert not report.exhaustive
         assert report.cases == 500
         assert report.passed
+
+    @pytest.mark.parametrize("factors", [[4, 4], [3, 6]], ids=str)
+    def test_exhaustive_reports_pinned(self, factors):
+        G = make_group(factors)
+        report = lemma_3_6_property(G)
+        assert report.exhaustive
+        assert report.cases == {16: 6528, 18: 9504}[G.order]  # 408 and 528 T's
+        assert report.passed
+
+    @staticmethod
+    def minimal_sequences(G):
+        D, _, conditional = davenport_value(G)
+        assert not conditional
+        found = enumerate_minimal_zero_sum(G, D - 1)
+        assert found.complete
+        return D, found.sequences
+
+    @pytest.mark.parametrize("factors", [[3, 3], [2, 2, 2], [4, 4], [3, 6], [2, 4]], ids=str)
+    def test_one_table_per_sequence_is_exact(self, factors):
+        # Every g's shortest zero-sum length of T g^2, read from T's table,
+        # against a table of T g^2 itself.  C2xC4 is outside the lemma and
+        # has pairs with no zero-sum subsequence of length <= D-2.
+        G = make_group(factors)
+        D, sequences = self.minimal_sequences(G)
+        elements = list(enumerate_elements(G))
+        over = 0
+        for T in sequences:
+            got = _two_copy_shortest(T)
+            assert got == [min_zero_sum_length(T.with_term(g, 2)) for g in elements]
+            over += sum(length > D - 2 for length in got)
+        assert (over > 0) == (G == make_group([2, 4]))
+
+    def test_sampled_pairs_are_the_choice_draws(self):
+        G = make_group([2, 2, 2])
+        _, sequences = self.minimal_sequences(G)
+        elements = list(enumerate_elements(G))
+        rng = random.Random(3)
+        drawn = [(rng.choice(sequences), rng.choice(elements)) for _ in range(500)]
+        cases = list(_sampled_cases(sequences, elements, 500, 3))
+        assert [(T, g) for T, g, _ in cases] == drawn
+        assert [length for _, _, length in cases] == [
+            min_zero_sum_length(T.with_term(g, 2)) for T, g in drawn
+        ]
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_refused(self, trials):
